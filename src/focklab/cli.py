@@ -2,9 +2,10 @@
 
 Each subcommand runs one experiment from the library against a configured
 measure, writes a JSON or CSV report, and exits 0 only if every tolerance
-check passed (1 on a tolerance failure, 2 on a config problem).  Reports
-carry the toolkit version and a hash of the effective config, and contain
-no timestamps, so identical configs give byte-identical output.
+check passed (1 on a tolerance failure, 2 on a config or runtime error,
+printed under its error class).  Reports carry the toolkit version and a
+hash of the effective config, and contain no timestamps, so identical
+configs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,20 +135,19 @@ def _parse_measure(obj, path: str) -> dict:
           "expected one of point_masses, uniform_disk, gaussian")
 
 
+@dataclass
 class RunConfig:
     """Validated, fully defaulted run configuration."""
 
-    def __init__(self, alpha, truncation, grid, measure, exponents, r_values,
-                 tolerances, output_format, output_path):
-        self.alpha = alpha
-        self.truncation = truncation
-        self.grid = grid
-        self.measure = measure
-        self.exponents = exponents
-        self.r_values = r_values
-        self.tolerances = tolerances
-        self.output_format = output_format
-        self.output_path = output_path
+    alpha: float
+    truncation: int
+    grid: tuple | None
+    measure: dict | None
+    exponents: tuple
+    r_values: tuple
+    tolerances: dict
+    output_format: str
+    output_path: str | None
 
     def normalized(self) -> dict:
         return {
@@ -628,11 +629,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.output_path = args.out
         report, text = run_subcommand(args.cmd, config, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except FocklabError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     if config.output_path:

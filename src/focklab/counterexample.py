@@ -88,7 +88,6 @@ def build_indices(params: CounterexampleParams) -> list[int]:
 class _IndexLogs:
     """Shared per-index intermediates; reusing them keeps cancellation exact."""
 
-    indices: tuple[int, ...]
     k: np.ndarray            # 1-based term number
     log_n: np.ndarray        # ln n_k
     log_fact: np.ndarray     # ln n_k!
@@ -96,10 +95,8 @@ class _IndexLogs:
 
 
 def _index_logs(params: CounterexampleParams) -> _IndexLogs:
-    indices = build_indices(params)
-    n = np.array(indices, dtype=float)
+    n = np.array(build_indices(params), dtype=float)
     return _IndexLogs(
-        indices=tuple(indices),
         k=np.arange(1, params.terms + 1, dtype=float),
         log_n=np.log(n),
         log_fact=gammaln(n + 1.0),
@@ -141,45 +138,6 @@ def log_f_coeffs_dual(params: CounterexampleParams) -> np.ndarray:
     """
     logs = _index_logs(params)
     return _log_coeffs(params, logs, 0.25 - 0.5 / params.q_conjugate, False)
-
-
-def log_g_coeffs(params: CounterexampleParams) -> np.ndarray:
-    """Nonzero coefficient logs of the second function."""
-    logs = _index_logs(params)
-    return _log_coeffs(params, logs, 0.25 - 0.5 / params.q, True)
-
-
-@dataclass(frozen=True)
-class LacunarySeries:
-    """Sparse positive-coefficient power series kept entirely in log space.
-
-    Indices reach billions at the default parameters, so the series is never
-    materialized as a dense coefficient array or evaluated pointwise.
-    """
-
-    indices: tuple[int, ...]
-    log_coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.log_coeffs):
-            raise ValueError("indices and coefficients must align")
-
-    def coefficient_log(self, n: int) -> float:
-        """log of the n-th coefficient; -inf off the lacunary set."""
-        try:
-            return self.log_coeffs[self.indices.index(n)]
-        except ValueError:
-            return -math.inf
-
-
-def coeffs(params: CounterexampleParams) -> tuple[LacunarySeries,
-                                                  LacunarySeries]:
-    """The lacunary pair as sparse log-space series."""
-    logs = _index_logs(params)
-    f = _log_coeffs(params, logs, 0.25 - 0.5 / params.p_conjugate, True)
-    g = _log_coeffs(params, logs, 0.25 - 0.5 / params.q, True)
-    return (LacunarySeries(logs.indices, tuple(float(v) for v in f)),
-            LacunarySeries(logs.indices, tuple(float(v) for v in g)))
 
 
 def _sum_terms(slow_part: np.ndarray, exponent: float, weight_sign: float,

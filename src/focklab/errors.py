@@ -23,3 +23,7 @@ class PositivityError(FocklabError):
 
 class ConfigError(FocklabError):
     """A run configuration failed validation."""
+
+
+class ResourceError(FocklabError):
+    """A run would exceed a work or memory budget fixed before it starts."""

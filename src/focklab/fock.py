@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import GridExtentError, TruncationError
-from .numerics import (LogScalar, PolarGrid, log_basis_coeff,
+from .numerics import (PolarGrid, complex_fsum, log_basis_coeff,
                        min_angular_nodes, polar_grid, tail_radius, wrap_phase)
 
 _EVAL_CHUNK = 2048
@@ -66,7 +66,7 @@ class EntireFunction:
     """Polynomial (truncated entire function) with log-scale coefficients.
 
     ``log_mags[n]`` and ``phases[n]`` encode the Taylor coefficient of z^n
-    as a LogScalar; absent coefficients are -inf entries.
+    as (ln|c_n|, arg c_n); absent coefficients are -inf entries.
     """
 
     log_mags: np.ndarray
@@ -85,11 +85,6 @@ class EntireFunction:
     @property
     def degree(self) -> int:
         return self.log_mags.size - 1
-
-    def coefficient(self, n: int) -> LogScalar:
-        if not 0 <= n <= self.degree:
-            return LogScalar.zero()
-        return LogScalar(float(self.log_mags[n]), float(self.phases[n]))
 
     def is_zero(self) -> bool:
         return bool(np.isneginf(self.log_mags).all())
@@ -113,14 +108,6 @@ def basis_function(n: int, params: FockParams) -> EntireFunction:
     lm = np.full(n + 1, -math.inf)
     lm[n] = log_basis_coeff(n, params.alpha)
     return EntireFunction(lm, np.zeros(n + 1))
-
-
-def scale(f: EntireFunction, factor: complex) -> EntireFunction:
-    """Multiply every coefficient by a complex factor, staying in log scale."""
-    s = LogScalar.from_complex(factor)
-    if s.is_zero():
-        return zero_function(f.degree)
-    return EntireFunction(f.log_mags + s.log_magnitude, f.phases + s.phase)
 
 
 def subtract(f: EntireFunction, g: EntireFunction) -> EntireFunction:
@@ -319,8 +306,7 @@ def inner_product(f: EntireFunction, g: EntireFunction,
     size = max(bf.size, bg.size)
     bf = np.pad(bf, (0, size - bf.size))
     bg = np.pad(bg, (0, size - bg.size))
-    terms = bf * np.conj(bg)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return complex_fsum(bf * np.conj(bg))
 
 
 def inner_product_quadrature(f: EntireFunction, g: EntireFunction,
@@ -332,9 +318,7 @@ def inner_product_quadrature(f: EntireFunction, g: EntireFunction,
     _boundary_decay_check(log_mag, grid)
     vals = np.where(np.isneginf(log_mag), 0.0,
                     np.exp(log_mag) * np.exp(1j * (pf - pg)))
-    terms = grid.weights * vals
-    total = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    return params.alpha / math.pi * total
+    return params.alpha / math.pi * complex_fsum(grid.weights * vals)
 
 
 def basis_coefficients(f: EntireFunction, params: FockParams,

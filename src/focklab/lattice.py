@@ -1,4 +1,4 @@
-"""Rank-one representations and square-lattice discretization of measures.
+"""Square-lattice discretization of measures into rank-one kernel sums.
 
 A measure is replaced by its cell masses on the grid of side r, each cell by
 the normalized-kernel projection at its center.  The discretized operator
@@ -8,67 +8,25 @@ masses certifying a nuclear-norm upper bound throughout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import FocklabError
-from .fock import (EntireFunction, FockParams, basis_coefficients,
-                   default_degree, norm, norm_grid, normalized_kernel, scale)
+from .errors import FocklabError, ResourceError
+from .fock import FockParams, default_degree, norm, norm_grid, normalized_kernel
 from .measure import (Density, GaussianDensity, MeasureSymbol, PointMasses,
-                      RadialDensity, berezin_lr_norm, berezin_measure,
-                      density_values, disk_cell_area, require_positive,
-                      support_radius_of, total_variation)
-from .numerics import PolarGrid
-from .toeplitz import (TruncatedOperator, build_from_measure,
-                       build_from_point_masses, schatten_norm)
+                      RadialDensity, berezin_lr_norm, density_values,
+                      disk_cell_area, require_positive, support_radius_of,
+                      total_variation)
+from .numerics import complex_fsum
+from .toeplitz import (TruncatedOperator, _pairing_matrix, build_from_measure,
+                       schatten_norm)
 
 _CELL_DROP = 1e-15
 _CELL_QUAD_NODES = 8
-
-
-@dataclass(frozen=True)
-class RankOneRep:
-    """Finite sum of rank-one terms x -> sum_j <x, f_j> g_j."""
-
-    terms: tuple[tuple[EntireFunction, EntireFunction], ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def rank_one_rep_operator(rep: RankOneRep, size: int,
-                          params: FockParams) -> TruncatedOperator:
-    """Matrix of the represented operator; rank is at most len(rep)."""
-    entries = np.zeros((size, size), dtype=complex)
-    for f, g in rep.terms:
-        fc = basis_coefficients(f, params, size)
-        gc = basis_coefficients(g, params, size)
-        entries += np.outer(gc, np.conj(fc))
-    return TruncatedOperator(entries, size, params,
-                             provenance=f"rank-one-rep({len(rep)})")
-
-
-def nuclear_upper_bound(rep: RankOneRep, params: FockParams,
-                        grid: PolarGrid | None = None) -> float:
-    """Summed cross norms sum_j ||f_j||_{p'} ||g_j||_q over the rep.
-
-    This dominates the nuclear norm of the represented operator in the
-    equivalent-norm convention (dual norms replaced by the conjugate-exponent
-    weighted norms).  Norms fall back to quadrature on a shared grid sized
-    for the largest degree present.
-    """
-    if not rep.terms:
-        return 0.0
-    if grid is None:
-        degree = max(max(f.degree, g.degree) for f, g in rep.terms)
-        grid = norm_grid(params, degree)
-    p_dual = params.p_conjugate
-    return math.fsum(norm(f, p_dual, params, grid) * norm(g, params.q, params, grid)
-                     for f, g in rep.terms)
+_CELL_BUDGET = 2 * 10 ** 6  # squares one partition may visit
 
 
 @dataclass(frozen=True)
@@ -104,7 +62,25 @@ def _ring_major(indexed: dict[tuple[int, int], complex], r: float):
 
 def _cell_index(x: float, y: float, r: float) -> tuple[int, int]:
     # Half-open convention: the cell around 0 is -r/2 <= x < r/2.
-    return int(math.floor(x / r + 0.5)), int(math.floor(y / r + 0.5))
+    i, j = x / r + 0.5, y / r + 0.5
+    if not (math.isfinite(i) and math.isfinite(j)):
+        raise ResourceError(f"lattice side {r!r} cannot index the point "
+                            f"{complex(x, y)!r}; use a larger r")
+    return int(math.floor(i)), int(math.floor(j))
+
+
+def _budget_reach(reach: float, r: float) -> int:
+    """The block half-width, once its (2 reach + 1)^2 squares fit the budget.
+
+    reach arrives as a float so that a side too small for the support shows
+    up as a huge or infinite count here, before any square is visited.
+    """
+    side = 2.0 * float(reach) + 1.0
+    if not side * side <= _CELL_BUDGET:
+        raise ResourceError(
+            f"lattice side {r!r} would visit {side * side:.3e} squares, over "
+            f"the budget of {_CELL_BUDGET:.0e}; use a larger r")
+    return int(reach)
 
 
 def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
@@ -118,7 +94,7 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
             indexed[ij] = indexed.get(ij, 0j) + weight
     elif isinstance(mu, RadialDensity) and mu.constant_value is not None:
         radius = mu.support_radius
-        reach = int(math.floor(radius / r + 0.5)) + 1
+        reach = _budget_reach(np.floor(radius / r + 0.5) + 1.0, r)
         for i in range(-reach, reach + 1):
             for j in range(-reach, reach + 1):
                 area = disk_cell_area((i - 0.5) * r, (i + 0.5) * r,
@@ -128,9 +104,8 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     elif isinstance(mu, GaussianDensity):
         radius = mu.effective_radius(1e-18)
         s = math.sqrt(mu.beta)
-        ci = int(math.floor(mu.center.real / r + 0.5))
-        cj = int(math.floor(mu.center.imag / r + 0.5))
-        reach = int(math.ceil(radius / r)) + 1
+        reach = _budget_reach(np.ceil(radius / r) + 1.0, r)
+        ci, cj = _cell_index(mu.center.real, mu.center.imag, r)
         scale_2d = mu.amplitude * math.pi / (4.0 * mu.beta)
         for i in range(ci - reach, ci + reach + 1):
             fx = (erf(s * ((i + 0.5) * r - mu.center.real))
@@ -142,9 +117,8 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     else:
         radius = support_radius_of(mu)
         center = mu.center if isinstance(mu, Density) else 0j
-        ci = int(math.floor(center.real / r + 0.5))
-        cj = int(math.floor(center.imag / r + 0.5))
-        reach = int(math.floor(radius / r + 0.5)) + 1
+        reach = _budget_reach(np.floor(radius / r + 0.5) + 1.0, r)
+        ci, cj = _cell_index(center.real, center.imag, r)
         x, w = np.polynomial.legendre.leggauss(_CELL_QUAD_NODES)
         offset = 0.5 * r * x
         cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
@@ -153,8 +127,7 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
                 nodes = ((i * r + offset)[:, None]
                          + 1j * (j * r + offset)[None, :]).ravel()
                 values = density_values(mu, nodes)
-                mass = complex(math.fsum((cell_w * values).real),
-                               math.fsum((cell_w * values).imag))
+                mass = complex_fsum(cell_w * values)
                 if mass != 0j:
                     indexed[(i, j)] = mass
     floor_mass = _CELL_DROP * total_variation(mu)
@@ -171,28 +144,11 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
 def lattice_operator(part: LatticePartition, size: int,
                      params: FockParams) -> TruncatedOperator:
     """Matrix of the discretized operator: cell masses on kernel projections."""
-    op = build_from_point_masses(PointMasses(part.cells), size, params)
-    return TruncatedOperator(op.entries, size, params,
+    entries = _pairing_matrix(part.centers(), part.weights(), size,
+                              params.alpha)
+    return TruncatedOperator(entries, size, params,
                              provenance=f"lattice(r={part.r!r},"
                                         f"cells={len(part.cells)})")
-
-
-def lattice_rank_one_rep(part: LatticePartition, params: FockParams,
-                         degree: int | None = None) -> RankOneRep:
-    """The discretized operator as explicit kernel rank-one terms.
-
-    Intended for small partitions; every term materializes a truncated
-    kernel of the given degree.
-    """
-    if degree is None:
-        top = max((abs(c) for c, _ in part.cells), default=0.0)
-        degree = default_degree(params.alpha, top)
-    factor = params.alpha / math.pi
-    terms = []
-    for center, weight in part.cells:
-        k = normalized_kernel(center, params, degree)
-        terms.append((k, scale(k, factor * weight)))
-    return RankOneRep(tuple(terms))
 
 
 def lattice_nuclear_bound(part: LatticePartition, params: FockParams) -> float:
@@ -230,31 +186,6 @@ def convergence_study(mu: MeasureSymbol, r_values, size: int,
             op_error=schatten_norm(diff, math.inf),
             nuclear_bound=lattice_nuclear_bound(part, params)))
     return rows
-
-
-def convergence_csv(rows, path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "s1_error", "op_error", "nuclear_bound"])
-        for row in rows:
-            writer.writerow([repr(row.r), repr(row.s1_error),
-                             repr(row.op_error), repr(row.nuclear_bound)])
-
-
-def berezin_lattice_check(part: LatticePartition, mu: MeasureSymbol,
-                          z_samples, params: FockParams) -> float:
-    """Largest deviation of the discretized transform from the measure's.
-
-    The deviation at each sample is controlled by the heat kernel's modulus
-    of continuity over half a cell diagonal: Lipschitz constant
-    sqrt(2 alpha / e) times r / sqrt(2), times total mass, times alpha/pi.
-    """
-    zs = np.asarray(z_samples, dtype=complex).ravel()
-    if zs.size == 0:
-        return 0.0
-    discrete = berezin_measure(PointMasses(part.cells), zs, params)
-    exact = berezin_measure(mu, zs, params)
-    return float(np.max(np.abs(discrete - exact)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FocklabError, GridExtentError, PositivityError
 from .fock import FockParams
-from .numerics import PolarGrid, min_angular_nodes, polar_grid
+from .numerics import PolarGrid, complex_fsum, min_angular_nodes, polar_grid
 
 _DROP = 1e-15
 
@@ -153,15 +153,13 @@ def support_radius_of(mu: MeasureSymbol) -> float:
 def total_mass(mu: MeasureSymbol) -> complex:
     """mu(C): the (signed/complex) total mass."""
     if isinstance(mu, PointMasses):
-        w = mu.weights
-        return complex(math.fsum(w.real), math.fsum(w.imag))
+        return complex_fsum(mu.weights)
     if isinstance(mu, GaussianDensity):
         return mu.amplitude * math.pi / mu.beta
     if isinstance(mu, RadialDensity) and mu.constant_value is not None:
         return mu.constant_value * math.pi * mu.support_radius ** 2
     nodes, weights, values = density_samples(mu)
-    terms = weights * values
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return complex_fsum(weights * values)
 
 
 def total_variation(mu: MeasureSymbol) -> float:
@@ -325,68 +323,6 @@ def berezin_lr_constant(alpha: float, r: float) -> float:
     if r == math.inf:
         return alpha / math.pi
     return alpha / math.pi * (math.pi / (r * alpha)) ** (1.0 / r)
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Probe of the defining square-kernel integrability condition."""
-
-    z_samples: tuple
-    values: tuple
-    refined_values: tuple
-    admissible: bool
-
-
-def admissibility_probe(mu: MeasureSymbol, z_samples,
-                        params: FockParams) -> AdmissibilityReport:
-    """Evaluate integral |K(z,w)|^2 e^{-alpha|w|^2} d|mu|(w) at probe points.
-
-    The probe recomputes on a refined grid; disagreement flags a measure the
-    toolkit cannot treat (the report is informational, not an exception).
-    """
-    alpha = params.alpha
-
-    def evaluate(radial):
-        if isinstance(mu, PointMasses):
-            w, c = mu.locations, np.abs(mu.weights)
-        else:
-            w, wt, values = density_samples(mu, radial_nodes=radial)
-            c = wt * np.abs(values)
-        out = []
-        for z in z_samples:
-            z = complex(z)
-            expo = 2.0 * alpha * np.real(z * np.conj(w)) - alpha * np.abs(w) ** 2
-            out.append(float(np.exp(expo) @ c))
-        return out
-
-    coarse = evaluate(96)
-    fine = evaluate(192)
-    ok = all(abs(a - b) <= 1e-6 * (1.0 + abs(b)) for a, b in zip(coarse, fine))
-    return AdmissibilityReport(tuple(complex(z) for z in z_samples),
-                               tuple(coarse), tuple(fine), ok)
-
-
-def translate(mu: MeasureSymbol, offset: complex) -> MeasureSymbol:
-    """The pushforward of mu under w -> w + offset."""
-    offset = complex(offset)
-    if isinstance(mu, PointMasses):
-        return PointMasses(tuple((w + offset, c) for w, c in mu.points))
-    if isinstance(mu, GaussianDensity):
-        return GaussianDensity(mu.amplitude, mu.beta, mu.center + offset)
-    if isinstance(mu, Density):
-        inner = mu.func
-        return Density(lambda w: inner(w - offset), mu.support_radius,
-                       mu.center + offset, positive=mu.positive)
-    shifted = mu  # radial: rewrap about the new center
-    if shifted.constant_value is not None:
-        value = shifted.constant_value
-        return Density(lambda w: np.full(np.shape(w), value, dtype=complex),
-                       shifted.support_radius, offset,
-                       positive=is_positive(shifted))
-    profile = shifted.profile
-    return Density(lambda w: np.asarray(profile(np.abs(w - offset)),
-                                        dtype=complex),
-                   shifted.support_radius, offset, positive=shifted.positive)
 
 
 def disk_cell_area(x0: float, x1: float, y0: float, y1: float,

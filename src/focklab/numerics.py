@@ -1,4 +1,4 @@
-"""Log-scale scalar arithmetic and polar quadrature over the complex plane.
+"""Log-scale special functions and polar quadrature over the complex plane.
 
 Everything downstream (kernel evaluation, operator assembly, lacunary series)
 routes magnitude bookkeeping through log-scale values so that factorials and
@@ -24,48 +24,9 @@ def wrap_phase(theta: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass(frozen=True)
-class LogScalar:
-    """A complex number stored as (log magnitude, phase).
-
-    ``log_magnitude`` is ln|x|; the zero scalar is encoded as
-    (-inf, 0.0).  Phases are kept in [-pi, pi).
-    """
-
-    log_magnitude: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.log_magnitude == -math.inf:
-            object.__setattr__(self, "phase", 0.0)
-        else:
-            object.__setattr__(self, "phase", wrap_phase(self.phase))
-
-    @staticmethod
-    def zero() -> "LogScalar":
-        return LogScalar(-math.inf, 0.0)
-
-    @staticmethod
-    def from_complex(x: complex) -> "LogScalar":
-        x = complex(x)
-        if x == 0:
-            return LogScalar.zero()
-        return LogScalar(math.log(abs(x)), math.atan2(x.imag, x.real))
-
-    def to_complex(self) -> complex:
-        if self.log_magnitude == -math.inf:
-            return 0j
-        mag = math.exp(self.log_magnitude)
-        return complex(mag * math.cos(self.phase), mag * math.sin(self.phase))
-
-    def is_zero(self) -> bool:
-        return self.log_magnitude == -math.inf
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        if self.is_zero() or other.is_zero():
-            return LogScalar.zero()
-        return LogScalar(self.log_magnitude + other.log_magnitude,
-                         self.phase + other.phase)
+def complex_fsum(values) -> complex:
+    """Correctly rounded sum of complex samples, real and imaginary parts apart."""
+    return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
 def log_gamma(x: float) -> float:
@@ -187,8 +148,7 @@ def integrate_plane(f, grid: PolarGrid) -> complex:
     order, so the result does not depend on how samples were produced.
     """
     values = _samples(f, grid)
-    terms = grid.weights * values
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return complex_fsum(grid.weights * values)
 
 
 def lr_norm(f, grid: PolarGrid, r: float, extra_samples=()) -> float:

@@ -7,8 +7,6 @@ m, so composition of operators is the matrix product in natural order.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,8 +17,8 @@ from .errors import FocklabError, GridExtentError, TruncationError
 from .fock import FockParams
 from .measure import (Density, GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, density_values, support_radius_of)
-from .numerics import (PolarGrid, log_basis_coeff, log_factorial, polar_grid,
-                       tail_radius)
+from .numerics import (PolarGrid, complex_fsum, log_basis_coeff, log_factorial,
+                       polar_grid, tail_radius)
 
 _TAIL_TOL = 1e-12
 _REFINE_TOL = 1e-8
@@ -107,14 +105,25 @@ def _density_support(mu) -> float:
     return support_radius_of(mu)
 
 
+def _pairing_matrix(nodes, c: np.ndarray, size: int, alpha: float,
+                    conjugate_output: bool = True) -> np.ndarray:
+    """Entries (alpha/pi) sum_i c_i L[m, i] E[n, i], E = basis_matrix(nodes).
+
+    L is conj(E) for the sesquilinear (Toeplitz) pairing and E for the
+    bilinear (Hankel) one; c holds point masses, or quadrature weights times
+    density values.
+    """
+    e = basis_matrix(nodes, size, alpha)
+    left = np.conj(e) if conjugate_output else e
+    return (alpha / math.pi) * (left @ (c[:, None] * e.T))
+
+
 def build_from_point_masses(mu: PointMasses, size: int,
                             params: FockParams) -> TruncatedOperator:
     """Matrix of the Toeplitz operator with a finite point-mass symbol."""
-    weights = mu.weights
-    e = basis_matrix(mu.locations, size, params.alpha)
-    entries = (params.alpha / math.pi) * (np.conj(e) @ (weights[:, None] * e.T))
+    entries = _pairing_matrix(mu.locations, mu.weights, size, params.alpha)
     return TruncatedOperator(entries, size, params,
-                             provenance=f"point-masses({len(weights)})")
+                             provenance=f"point-masses({len(mu.points)})")
 
 
 def build_from_radial_density(profile, size: int, params: FockParams,
@@ -140,19 +149,9 @@ def build_from_radial_density(profile, size: int, params: FockParams,
     logs = log_coeff[:, None] + log_shape
     ref = logs.max(axis=1, keepdims=True)
     terms = np.exp(logs - ref) * (wt * values)[None, :]
-    diag = np.exp(ref[:, 0]) * np.array(
-        [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms])
+    diag = np.exp(ref[:, 0]) * np.array([complex_fsum(row) for row in terms])
     return TruncatedOperator(np.diag(diag), size, params,
                              provenance=f"radial-density(nodes={t.size})")
-
-
-def _bilinear_assemble(mu, size: int, params: FockParams, grid: PolarGrid,
-                       conjugate_output: bool) -> np.ndarray:
-    values = density_values(mu, grid.nodes)
-    e = basis_matrix(grid.nodes, size, params.alpha)
-    c = grid.weights * values
-    left = np.conj(e) if conjugate_output else e
-    return (params.alpha / math.pi) * (left @ (c[:, None] * e.T))
 
 
 def build_from_density(mu, size: int, params: FockParams,
@@ -167,9 +166,10 @@ def build_from_density(mu, size: int, params: FockParams,
         raise FocklabError("use build_from_point_masses for point masses")
     if grid is None:
         grid = _quadrature_grid(size, params, _density_support(mu))
-    entries = _bilinear_assemble(mu, size, params, grid, conjugate_output=True)
-    check = _bilinear_assemble(mu, size, params, _refined(grid),
-                               conjugate_output=True)
+    entries, check = (
+        _pairing_matrix(g.nodes, g.weights * density_values(mu, g.nodes),
+                        size, params.alpha)
+        for g in (grid, _refined(grid)))
     gap = float(np.max(np.abs(entries - check)))
     provenance = (f"2d-quadrature(radial={grid.n_radial},"
                   f"angular={grid.n_angular})")
@@ -197,12 +197,12 @@ def build_hankel(mu: MeasureSymbol, size: int,
                  params: FockParams) -> HankelMatrix:
     """Bilinear (small Hankel) pairing matrix of the measure."""
     if isinstance(mu, PointMasses):
-        e = basis_matrix(mu.locations, size, params.alpha)
-        entries = (params.alpha / math.pi) * (e @ (mu.weights[:, None] * e.T))
+        nodes, c = mu.locations, mu.weights
     else:
         grid = _quadrature_grid(size, params, _density_support(mu))
-        entries = _bilinear_assemble(mu, size, params, grid,
-                                     conjugate_output=False)
+        nodes, c = grid.nodes, grid.weights * density_values(mu, grid.nodes)
+    entries = _pairing_matrix(nodes, c, size, params.alpha,
+                              conjugate_output=False)
     entries = 0.5 * (entries + entries.T)
     return HankelMatrix(entries, size, params)
 
@@ -238,8 +238,7 @@ def _transform_samples(entries: np.ndarray, nodes,
 
 def trace(op) -> complex:
     """Sum of diagonal entries, compensated."""
-    diag = np.diagonal(op.entries)
-    return complex(math.fsum(diag.real), math.fsum(diag.imag))
+    return complex_fsum(np.diagonal(op.entries))
 
 
 def _covering_grid(op: TruncatedOperator,
@@ -269,8 +268,7 @@ def trace_via_berezin(op: TruncatedOperator,
     grid = _covering_grid(op, grid)
     alpha = op.params.alpha
     weighted = grid.weights * _transform_samples(op.entries, grid.nodes, alpha)
-    return (alpha / math.pi) * complex(math.fsum(weighted.real),
-                                       math.fsum(weighted.imag))
+    return (alpha / math.pi) * complex_fsum(weighted)
 
 
 def transform_l1_norm(op: TruncatedOperator,
@@ -335,8 +333,7 @@ def trace_pairing(phi, op: TruncatedOperator,
         raise FocklabError("trace pairing needs a compactly supported symbol")
     left = build_from_measure(phi, size, params)
     product = left.entries @ op.entries
-    matrix_side = complex(math.fsum(np.diagonal(product).real),
-                          math.fsum(np.diagonal(product).imag))
+    matrix_side = complex_fsum(np.diagonal(product))
     if grid is None:
         grid = _quadrature_grid(size, params, support)
     tail = basis_tail_mass(size, params.alpha, grid.cutoff_radius)
@@ -347,64 +344,5 @@ def trace_pairing(phi, op: TruncatedOperator,
     values = density_values(phi, grid.nodes)
     transform = berezin_operator(op, grid.nodes)
     weighted = grid.weights * values * transform
-    quad_side = (params.alpha / math.pi) * complex(
-        math.fsum(weighted.real), math.fsum(weighted.imag))
+    quad_side = (params.alpha / math.pi) * complex_fsum(weighted)
     return matrix_side, quad_side
-
-
-def _entry_lists(entries: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in entries]
-
-
-def export_json(op, path: str):
-    """Serialize a matrix (either kind) with bit-exact float round-trip."""
-    kind = "hankel" if isinstance(op, HankelMatrix) else "toeplitz"
-    payload = {
-        "kind": kind,
-        "truncation": op.truncation,
-        "alpha": op.params.alpha,
-        "p": op.params.p,
-        "q": op.params.q,
-        "entries": _entry_lists(op.entries),
-    }
-    if kind == "toeplitz":
-        payload["provenance"] = op.provenance
-    with open(path, "w") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-
-
-def import_json(path: str):
-    with open(path) as fh:
-        payload = json.load(fh)
-    entries = np.array([[complex(re, im) for re, im in row]
-                        for row in payload["entries"]])
-    params = FockParams(alpha=payload["alpha"], p=payload["p"],
-                        q=payload["q"])
-    if payload["kind"] == "hankel":
-        return HankelMatrix(entries, payload["truncation"], params)
-    return TruncatedOperator(entries, payload["truncation"], params,
-                             provenance=payload["provenance"])
-
-
-def export_csv(op, path: str):
-    """Flattened entries only; header m,n,re,im; bit-exact floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "n", "re", "im"])
-        for m in range(op.truncation):
-            for n in range(op.truncation):
-                v = op.entries[m, n]
-                writer.writerow([m, n, repr(float(v.real)),
-                                 repr(float(v.imag))])
-
-
-def import_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["m", "n", "re", "im"]:
-        raise FocklabError("unexpected csv header")
-    size = max(int(r[0]) for r in rows[1:]) + 1
-    entries = np.zeros((size, size), dtype=complex)
-    for m, n, re, im in rows[1:]:
-        entries[int(m), int(n)] = complex(float(re), float(im))
-    return entries

@@ -1,12 +1,16 @@
 """Command-line behavior: config validation, determinism, exit codes."""
 
 import json
+import time
 
+import numpy as np
 import pytest
 
 from focklab.cli import build_measure, main, parse_config
 from focklab.errors import ConfigError
+from focklab.fock import FockParams
 from focklab.measure import GaussianDensity, PointMasses, RadialDensity
+from focklab.toeplitz import build_from_measure, build_hankel
 
 
 MINIMAL = ('{"alpha": 1, "measure": {"type": "point_masses", '
@@ -146,7 +150,7 @@ class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
         config = write(tmp_path, "bad.json", '{"alpah": 1}')
         assert main(["trace-check", "--config", config]) == 2
-        assert "alpah" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("ConfigError: alpah")
 
     def test_missing_measure_is_two(self, capsys):
         assert main(["berezin"]) == 2
@@ -162,6 +166,42 @@ class TestExitCodes:
                        '{"exponents": {"p": 4.0, "q": 1.3333333333333333}}')
         assert main(["counterexample", "--config", config]) == 2
         assert "exponents" in capsys.readouterr().err
+
+    def test_truncation_error_named(self, tmp_path, capsys):
+        config = write(tmp_path, "far.json",
+                       '{"measure": {"type": "gaussian", "beta": 1.0, '
+                       '"x": 3.0}}')
+        assert main(["trace-pairing", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith(
+            "TruncationError: kernel basis tail")
+
+
+class TestCellBudget:
+    """Lattice sides too small for the symbol stop before enumerating."""
+
+    @pytest.mark.parametrize("measure, r", [
+        ({"type": "uniform_disk", "radius": 1.0}, 1e-300),
+        ({"type": "uniform_disk", "radius": 1.0}, 0.001),
+        ({"type": "point_masses", "points": [{"x": 0.5, "y": 0.0}]}, 5e-324),
+    ])
+    def test_resource_error_is_two(self, tmp_path, capsys, measure, r):
+        config = write(tmp_path, "lattice.json",
+                       json.dumps({"measure": measure, "r_values": [r]}))
+        start = time.monotonic()
+        assert main(["lattice-approx", "--config", config]) == 2
+        assert time.monotonic() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ResourceError: lattice side")
+
+    def test_widest_documented_gaussian_fits(self, tmp_path, capsys):
+        # beta = 0.6 visits about 1.14e6 squares at r = 1/64, the smallest
+        # default side; truncation 8 keeps the run to a few hundred MB.
+        config = write(tmp_path, "lattice.json", json.dumps({
+            "truncation": 8, "measure": {"type": "gaussian", "beta": 0.6}}))
+        assert main(["lattice-approx", "--config", config]) == 0
+        rows = json.loads(capsys.readouterr().out)["data"]["rows"]
+        assert [row["r"] for row in rows] == [2.0 ** -n for n in range(7)]
 
 
 class TestCsvOutput:
@@ -186,6 +226,54 @@ class TestCsvOutput:
         m, n, re, im = lines[2].split(",")
         assert (int(m), int(n)) == (0, 0)
         assert float(re) == pytest.approx(1.0 / 3.141592653589793, rel=1e-12)
+
+
+class TestRoundTrip:
+    """Reports carry matrix entries bit-exactly, in JSON and in CSV."""
+
+    PARAMS = FockParams(alpha=1.0)
+
+    def test_json_bit_exact(self, tmp_path, capsys):
+        config = write(tmp_path, "g.json",
+                       '{"truncation": 24, "measure": {"type": "gaussian", '
+                       '"beta": 2.0, "x": 0.0, "y": 0.3}}')
+        assert main(["toeplitz", "--config", config]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        op = build_from_measure(GaussianDensity(1.0, 2.0, center=0.3j), 24,
+                                self.PARAMS)
+        entries = np.array([[complex(re, im) for re, im in row]
+                            for row in data["entries"]])
+        assert np.array_equal(entries, op.entries)
+        assert data["truncation"] == 24
+        assert data["provenance"] == op.provenance
+
+    def test_json_hankel(self, tmp_path, capsys):
+        config = write(tmp_path, "pm.json",
+                       '{"truncation": 12, "measure": {"type": "point_masses",'
+                       ' "points": [{"x": 1.0, "y": 0.0}]}}')
+        assert main(["hankel", "--config", config]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        h = build_hankel(PointMasses(((1.0, 1.0),)), 12, self.PARAMS)
+        entries = np.array([[complex(re, im) for re, im in row]
+                            for row in data["entries"]])
+        assert np.array_equal(entries, h.entries)
+
+    def test_csv_bit_exact(self, tmp_path, capsys):
+        config = write(tmp_path, "pm.json",
+                       '{"truncation": 16, "measure": {"type": "point_masses",'
+                       ' "points": [{"x": 1, "y": 1, "w_re": 0.5}, '
+                       '{"x": 0, "y": 0, "w_re": 1}]}}')
+        assert main(["toeplitz", "--config", config, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "m,n,re,im"
+        entries = np.zeros((16, 16), dtype=complex)
+        for line in lines[2:]:
+            m, n, re, im = line.split(",")
+            entries[int(m), int(n)] = complex(float(re), float(im))
+        assert len(lines) == 2 + 16 * 16
+        op = build_from_measure(PointMasses(((1 + 1j, 0.5), (0j, 1.0))), 16,
+                                self.PARAMS)
+        assert np.array_equal(entries, op.entries)
 
 
 class TestSubcommands:

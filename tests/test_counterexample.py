@@ -13,7 +13,6 @@ import pytest
 from focklab.counterexample import (
     CounterexampleParams,
     build_indices,
-    coeffs,
     divergence_sum,
     full_report,
     growth_criterion_check,
@@ -93,21 +92,18 @@ class TestCoefficients:
         assert np.max(np.abs(lo - lod) / np.abs(lo)) < 1e-12
 
     def test_series_structure(self):
-        f, g = coeffs(DEFAULTS)
-        assert f.indices == g.indices == tuple(16 ** k for k in range(1, 9))
-        assert all(math.isfinite(v) for v in f.log_coeffs + g.log_coeffs)
-
-    def test_zero_off_lacunary_set(self):
-        f, _ = coeffs(DEFAULTS)
-        assert f.coefficient_log(17) == -math.inf
-        assert f.coefficient_log(16) == f.log_coeffs[0]
+        # one finite coefficient log per lacunary index, in either form
+        count = len(build_indices(DEFAULTS))
+        for logs in (log_f_coeffs(DEFAULTS), log_f_coeffs_dual(DEFAULTS)):
+            assert logs.shape == (count,)
+            assert np.all(np.isfinite(logs))
 
     def test_coefficient_product_nonnegative(self):
-        # both sequences are positive reals, so a_n * conj(b_n) >= 0
-        f, g = coeffs(DEFAULTS)
-        products = [math.exp(a + b) for a, b in zip(f.log_coeffs, g.log_coeffs)
-                    if a + b < 700.0]
-        assert all(v >= 0.0 for v in products)
+        # both sequences are positive reals, so every diagonal pairing term
+        # a_n * conj(b_n) * (moment) is a nonnegative real
+        for k in range(1, DEFAULTS.terms + 1):
+            lhs, _ = pairing_term_identity(DEFAULTS, k)
+            assert lhs >= 0.0
 
 
 class TestMembership:

@@ -1,25 +1,34 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from focklab.cli import main
 from focklab.errors import FocklabError, PositivityError
-from focklab.fock import FockParams, default_degree, normalized_kernel
-from focklab.lattice import (RankOneRep, berezin_lattice_check,
-                             convergence_csv, convergence_study,
-                             lattice_nuclear_bound, lattice_operator,
-                             lattice_partition, lattice_rank_one_rep,
-                             nuclear_upper_bound, rank_one_rep_operator,
+from focklab.fock import (FockParams, basis_coefficients, default_degree, norm,
+                          norm_grid, normalized_kernel)
+from focklab.lattice import (convergence_study, lattice_nuclear_bound,
+                             lattice_operator, lattice_partition,
                              rigidity_experiment)
 from focklab.measure import (Density, GaussianDensity, PointMasses,
-                             total_mass, total_variation, uniform_disk)
-from focklab.toeplitz import build_from_point_masses, trace
+                             berezin_measure, total_mass, total_variation,
+                             uniform_disk)
+from focklab.toeplitz import build_from_point_masses, schatten_norm, trace
 
 PARAMS = FockParams(alpha=1.0)
 
 
 def delta(w, weight=1.0):
     return PointMasses(((complex(w), complex(weight)),))
+
+
+def lattice_deviation(part, mu, z_samples):
+    """Largest gap between the transforms of the cell masses and of mu."""
+    zs = np.asarray(z_samples, dtype=complex)
+    discrete = berezin_measure(PointMasses(part.cells), zs, PARAMS)
+    exact = berezin_measure(mu, zs, PARAMS)
+    return float(np.max(np.abs(discrete - exact)))
 
 
 class TestPartition:
@@ -109,46 +118,71 @@ class TestLatticeOperator:
 class TestRankOneRep:
 
     def test_operator_rank_bounded_by_terms(self):
-        part = lattice_partition(PointMasses(((0j, 1.0), (1.0, 1.0))), 1.0)
-        rep = lattice_rank_one_rep(part, PARAMS)
-        op = rank_one_rep_operator(rep, 48, PARAMS)
-        rank = int(np.sum(np.linalg.svd(op.entries, compute_uv=False) > 1e-12))
-        assert rank <= len(rep) == 2
+        # one kernel projection per kept cell
+        pair = lattice_partition(PointMasses(((0j, 1.0), (1.0, 1.0))), 1.0)
+        assert len(pair.cells) == 2
+        for part in (pair, lattice_partition(uniform_disk(1.0, 1.0), 0.5)):
+            op = lattice_operator(part, 48, PARAMS)
+            sigma = np.linalg.svd(op.entries, compute_uv=False)
+            assert int(np.sum(sigma > 1e-12)) <= len(part.cells)
 
     def test_rep_operator_matches_lattice_operator(self):
-        part = lattice_partition(uniform_disk(1.0, 1.0), 2.0)
-        rep = lattice_rank_one_rep(part, PARAMS)
-        a = rank_one_rep_operator(rep, 32, PARAMS)
-        b = lattice_operator(part, 32, PARAMS)
-        assert np.max(np.abs(a.entries - b.entries)) < 1e-14
+        # sum_j (alpha/pi) w_j k_j (x) k_j over truncated normalized kernels
+        part = lattice_partition(uniform_disk(1.0, 1.0), 0.5)
+        size = 32
+        degree = default_degree(PARAMS.alpha,
+                                max(abs(c) for c, _ in part.cells))
+        expected = np.zeros((size, size), dtype=complex)
+        for center, weight in part.cells:
+            k = basis_coefficients(normalized_kernel(center, PARAMS, degree),
+                                   PARAMS, size)
+            expected += (PARAMS.alpha / math.pi) * weight * np.outer(
+                k, np.conj(k))
+        op = lattice_operator(part, size, PARAMS)
+        assert np.max(np.abs(op.entries - expected)) < 1e-14
 
 
 class TestNuclearUpperBound:
 
     def test_single_normalized_kernel(self):
+        # the unit cross norm that lets the bound skip quadrature
         degree = default_degree(1.0, 1.0)
         k = normalized_kernel(1.0, PARAMS, degree)
-        assert nuclear_upper_bound(RankOneRep(((k, k),)), PARAMS) == \
-            pytest.approx(1.0, rel=1e-9)
+        grid = norm_grid(PARAMS, degree)
+        cross = (norm(k, PARAMS.p_conjugate, PARAMS, grid)
+                 * norm(k, PARAMS.q, PARAMS, grid))
+        assert cross == pytest.approx(1.0, rel=1e-9)
 
     def test_two_kernels(self):
+        # the bound equals the quadrature cross norms of the cell kernels
+        part = lattice_partition(PointMasses(((0j, 1.0), (1.0, -2.0))), 1.0)
         degree = default_degree(1.0, 1.0)
-        k0 = normalized_kernel(0j, PARAMS, degree)
-        k1 = normalized_kernel(1.0, PARAMS, degree)
-        rep = RankOneRep(((k0, k0), (k1, k1)))
-        assert nuclear_upper_bound(rep, PARAMS) == pytest.approx(2.0,
-                                                                 rel=1e-9)
+        grid = norm_grid(PARAMS, degree)
+        summed = 0.0
+        for center, weight in part.cells:
+            k = normalized_kernel(center, PARAMS, degree)
+            summed += abs(weight) * (norm(k, PARAMS.p_conjugate, PARAMS, grid)
+                                     * norm(k, PARAMS.q, PARAMS, grid))
+        assert lattice_nuclear_bound(part, PARAMS) == pytest.approx(
+            (PARAMS.alpha / math.pi) * summed, rel=1e-9)
 
     def test_empty_rep(self):
-        assert nuclear_upper_bound(RankOneRep(()), PARAMS) == 0.0
+        part = lattice_partition(PointMasses(()), 0.5)
+        assert lattice_nuclear_bound(part, PARAMS) == 0.0
+        assert not lattice_operator(part, 8, PARAMS).entries.any()
 
     def test_lattice_bound_ceiling(self):
-        for mu in (delta(1.0, -2.0), uniform_disk(1.0, 1.0),
+        pair = PointMasses(((0.3 + 0j, 1.0), (1.1j, -2.0)))
+        for mu in (delta(1.0, -2.0), pair, uniform_disk(1.0, 1.0),
                    GaussianDensity(1.0, 2.0)):
             ceiling = (PARAMS.alpha / math.pi) * total_variation(mu)
             for r in (1.0, 0.25):
                 part = lattice_partition(mu, r)
-                assert lattice_nuclear_bound(part, PARAMS) <= ceiling + 1e-9
+                bound = lattice_nuclear_bound(part, PARAMS)
+                assert bound <= ceiling + 1e-9
+                # the bound dominates the discretized operator's trace norm
+                op = lattice_operator(part, 64, PARAMS)
+                assert schatten_norm(op, 1.0) <= bound + 1e-9, (mu, r)
 
 
 class TestConvergence:
@@ -174,14 +208,18 @@ class TestConvergence:
         assert all(row.nuclear_bound == pytest.approx(1.0, rel=1e-12)
                    for row in rows)
 
-    def test_csv_layout(self, tmp_path):
-        rows = convergence_study(delta(0j), [1.0, 0.5], 16, PARAMS)
-        path = tmp_path / "table.csv"
-        convergence_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "r,s1_error,op_error,nuclear_bound"
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[0]) == 1.0
+    def test_csv_layout(self, tmp_path, capsys):
+        config = tmp_path / "pm.json"
+        config.write_text(json.dumps({
+            "truncation": 16, "r_values": [1.0, 0.5],
+            "measure": {"type": "point_masses", "points": [{"x": 0, "y": 0}]},
+        }), encoding="utf-8")
+        assert main(["lattice-approx", "--config", str(config),
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "r,s1_error,op_error,nuclear_bound"
+        assert len(lines) == 4
+        assert float(lines[2].split(",")[0]) == 1.0
 
 
 class TestBerezinLatticeCheck:
@@ -189,19 +227,18 @@ class TestBerezinLatticeCheck:
     def test_point_on_center_deviation_zero(self):
         mu = delta(0.5)
         part = lattice_partition(mu, 0.5)
-        assert berezin_lattice_check(part, mu, [0j, 1.0, 0.3 + 0.2j],
-                                     PARAMS) == 0.0
+        assert lattice_deviation(part, mu, [0j, 1.0, 0.3 + 0.2j]) == 0.0
 
     def test_zero_measure(self):
         mu = PointMasses(())
         part = lattice_partition(mu, 0.5)
-        assert berezin_lattice_check(part, mu, [0j], PARAMS) == 0.0
+        assert lattice_deviation(part, mu, [0j]) == 0.0
 
     def test_disk_deviation_below_continuity_bound(self):
         mu = uniform_disk(1.0, 1.0)
         r = 0.125
         part = lattice_partition(mu, r)
-        dev = berezin_lattice_check(part, mu, [0j, 0.5, 1j, 1 + 1j], PARAMS)
+        dev = lattice_deviation(part, mu, [0j, 0.5, 1j, 1 + 1j])
         lipschitz = math.sqrt(2.0 * PARAMS.alpha / math.e)
         bound = (PARAMS.alpha / math.pi) * math.pi * lipschitz * r / math.sqrt(2)
         assert dev <= bound
@@ -209,8 +246,8 @@ class TestBerezinLatticeCheck:
     def test_deviation_shrinks_with_r(self):
         mu = uniform_disk(1.0, 1.0)
         samples = [0j, 0.7, 1.2j]
-        devs = [berezin_lattice_check(lattice_partition(mu, r), mu, samples,
-                                      PARAMS) for r in (0.5, 0.25, 0.125)]
+        devs = [lattice_deviation(lattice_partition(mu, r), mu, samples)
+                for r in (0.5, 0.25, 0.125)]
         assert devs[2] < devs[1] < devs[0]
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from focklab.errors import FocklabError, GridExtentError, PositivityError
 from focklab.fock import FockParams
-from focklab.measure import (AdmissibilityReport, Density, GaussianDensity,
-                             PointMasses, RadialDensity, admissibility_probe,
-                             berezin_grid, berezin_lr_constant, berezin_lr_norm,
-                             berezin_measure, disk_cell_area, is_positive,
-                             require_positive, support_radius_of, total_mass,
-                             total_variation, translate, uniform_disk)
+from focklab.measure import (Density, GaussianDensity, PointMasses,
+                             RadialDensity, berezin_grid, berezin_lr_constant,
+                             berezin_lr_norm, berezin_measure, disk_cell_area,
+                             is_positive, require_positive, support_radius_of,
+                             total_mass, total_variation, uniform_disk)
 from focklab.numerics import polar_grid
 
 PARAMS = FockParams(alpha=1.0)
@@ -115,15 +114,24 @@ class TestBerezinMeasure:
     def test_translation_covariance(self):
         offset = 0.7 - 0.4j
         z = 1.1 + 0.2j
-        candidates = [
-            PointMasses(((0j, 1.0), (2.0, 1.0))),
-            Density(lambda w: np.exp(-0.7 * np.abs(w) ** 2) * (1 + 0.3 * w.real),
-                    4.0),
-            GaussianDensity(2.0, 1.5),
-            uniform_disk(1.0, 1.0),
+
+        def smooth(w):
+            return np.exp(-0.7 * np.abs(w) ** 2) * (1 + 0.3 * w.real)
+
+        # each measure next to its pushforward under w -> w + offset
+        pairs = [
+            (PointMasses(((0j, 1.0), (2.0, 1.0))),
+             PointMasses(((offset, 1.0), (2.0 + offset, 1.0)))),
+            (Density(smooth, 4.0),
+             Density(lambda w: smooth(w - offset), 4.0, center=offset)),
+            (GaussianDensity(2.0, 1.5),
+             GaussianDensity(2.0, 1.5, center=offset)),
+            (uniform_disk(1.0, 1.0),
+             Density(lambda w: np.ones(np.shape(w), dtype=complex), 1.0,
+                     center=offset)),
         ]
-        for mu in candidates:
-            a = berezin_measure(translate(mu, offset), z, PARAMS)
+        for mu, shifted in pairs:
+            a = berezin_measure(shifted, z, PARAMS)
             b = berezin_measure(mu, z - offset, PARAMS)
             assert abs(a - b) < 1e-12
 
@@ -176,26 +184,36 @@ class TestBerezinLrNorm:
             berezin_lr_norm(delta(1.0), 1.0, PARAMS, grid=grid)
 
 
+def square_kernel_integral(mu, z, params=PARAMS):
+    """integral |K(z, w)|^2 e^{-alpha|w|^2} d mu(w), via the heat transform.
+
+    The integrand is e^{alpha|z|^2} e^{-alpha|z - w|^2}, so the integral is
+    e^{alpha|z|^2} (pi / alpha) times the Berezin transform of mu at z.
+    """
+    z = np.asarray(z, dtype=complex)
+    return (np.exp(params.alpha * np.abs(z) ** 2) * math.pi / params.alpha
+            * berezin_measure(mu, z, params))
+
+
 class TestAdmissibility:
 
     def test_point_mass_value(self):
         w = 1.5 + 0.5j
-        report = admissibility_probe(delta(w), [0j], PARAMS)
-        assert isinstance(report, AdmissibilityReport)
-        assert report.values[0] == pytest.approx(math.exp(-abs(w) ** 2),
-                                                 rel=1e-13)
-        assert report.admissible
+        value = square_kernel_integral(delta(w), 0j)
+        assert value == pytest.approx(math.exp(-abs(w) ** 2), rel=1e-13)
 
     def test_unit_disk_value_at_origin(self):
-        report = admissibility_probe(uniform_disk(1.0, 1.0), [0j], PARAMS)
+        value = square_kernel_integral(uniform_disk(1.0, 1.0), 0j)
         expected = math.pi * (1.0 - math.exp(-1.0))
-        assert report.values[0] == pytest.approx(expected, rel=1e-10)
-        assert report.admissible
+        assert value == pytest.approx(expected, rel=1e-10)
 
     def test_refinement_agreement_for_smooth_density(self):
-        mu = Density(lambda w: np.exp(-np.abs(w) ** 2), 6.0)
-        report = admissibility_probe(mu, [0j, 1.0, 2j], PARAMS)
-        assert report.admissible
+        # the sampled density against its closed-form Gaussian twin
+        zs = [0j, 1.0, 2j]
+        sampled = square_kernel_integral(
+            Density(lambda w: np.exp(-np.abs(w) ** 2), 6.0), zs)
+        exact = square_kernel_integral(GaussianDensity(1.0, 1.0), zs)
+        assert np.all(np.abs(sampled - exact) <= 1e-6 * (1.0 + np.abs(exact)))
 
 
 class TestDiskCellArea:

@@ -2,53 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from focklab.errors import QuadratureError
-from focklab.numerics import (LogScalar, gaussian_tail_fraction, integrate_plane,
+from focklab.numerics import (gaussian_tail_fraction, integrate_plane,
                               log_basis_coeff, log_factorial, log_gamma, lr_norm,
-                              min_angular_nodes, polar_grid, tail_radius,
-                              wrap_phase)
-
-finite_logs = st.floats(min_value=-700.0, max_value=700.0)
-phases = st.floats(min_value=-20.0, max_value=20.0)
-
-
-class TestLogScalar:
-
-    @given(finite_logs, phases)
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, lm, ph):
-        x = LogScalar(lm, ph)
-        back = LogScalar.from_complex(x.to_complex())
-        assert back.log_magnitude == pytest.approx(lm, rel=0, abs=2e-14 * max(1.0, abs(lm)))
-        assert abs(wrap_phase(back.phase - x.phase)) < 1e-12
-
-    @given(finite_logs, phases, finite_logs, phases)
-    @settings(max_examples=200, deadline=None)
-    def test_multiply_adds_logs(self, lm1, ph1, lm2, ph2):
-        a, b = LogScalar(lm1, ph1), LogScalar(lm2, ph2)
-        prod = a * b
-        assert prod.log_magnitude == lm1 + lm2
-        assert -math.pi <= prod.phase < math.pi
-        assert abs(wrap_phase(prod.phase - (a.phase + b.phase))) < 1e-12
-
-    def test_zero_encoding(self):
-        z = LogScalar.zero()
-        assert z.log_magnitude == -math.inf and z.phase == 0.0
-        assert z.is_zero() and z.to_complex() == 0j
-        assert LogScalar.from_complex(0j).is_zero()
-        assert (z * LogScalar(1.0, 0.3)).is_zero()
-        # any phase handed to a zero collapses to the canonical encoding
-        assert LogScalar(-math.inf, 2.0).phase == 0.0
-
-    def test_from_complex_values(self):
-        x = LogScalar.from_complex(-2.0 + 0j)
-        assert x.log_magnitude == pytest.approx(math.log(2.0), rel=1e-15)
-        assert x.phase == pytest.approx(-math.pi)  # pi wraps to the half-open end
-        y = LogScalar.from_complex(1j)
-        assert y.phase == pytest.approx(math.pi / 2)
+                              min_angular_nodes, polar_grid, tail_radius)
 
 
 class TestLogGamma:

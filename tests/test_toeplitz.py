@@ -15,8 +15,7 @@ from focklab.toeplitz import (HankelMatrix, TruncatedOperator,
                               berezin_operator, build_from_density,
                               build_from_measure, build_from_point_masses,
                               build_from_radial_density, build_hankel,
-                              export_csv, export_json, identity_operator,
-                              import_csv, import_json, schatten_norm, trace,
+                              identity_operator, schatten_norm, trace,
                               trace_pairing, trace_via_berezin,
                               transform_l1_norm)
 
@@ -305,38 +304,6 @@ class TestTracePairing:
         with pytest.raises(FocklabError):
             trace_pairing(GaussianDensity(1.0, 1.0),
                           identity_operator(16, PARAMS))
-
-
-class TestRoundTrip:
-
-    def test_json_bit_exact(self, tmp_path):
-        op = build_from_measure(GaussianDensity(1.0, 2.0, center=0.3j), 24,
-                                PARAMS)
-        path = tmp_path / "op.json"
-        export_json(op, path)
-        back = import_json(path)
-        assert np.array_equal(back.entries, op.entries)
-        assert back.truncation == op.truncation
-        assert back.params == op.params
-        assert back.provenance == op.provenance
-
-    def test_json_hankel(self, tmp_path):
-        h = build_hankel(delta(1.0), 12, PARAMS)
-        path = tmp_path / "h.json"
-        export_json(h, path)
-        back = import_json(path)
-        assert isinstance(back, HankelMatrix)
-        assert np.array_equal(back.entries, h.entries)
-
-    def test_csv_bit_exact(self, tmp_path):
-        op = build_from_point_masses(PointMasses(((1 + 1j, 0.5), (0j, 1.0))),
-                                     16, PARAMS)
-        path = tmp_path / "op.csv"
-        export_csv(op, path)
-        entries = import_csv(path)
-        assert np.array_equal(entries, op.entries)
-        header = path.read_text().splitlines()[0]
-        assert header == "m,n,re,im"
 
 
 class TestBasisMatrix:
