@@ -14,7 +14,8 @@ from scipy.special import gammaln
 
 from .errors import GridExtentError, TruncationError
 from .numerics import (PolarGrid, complex_fsum, log_basis_coeff,
-                       min_angular_nodes, polar_grid, tail_radius, wrap_phase)
+                       min_angular_nodes, node_count, polar_grid, tail_radius,
+                       wrap_phase)
 
 _EVAL_CHUNK = 2048
 _LOG_OVERFLOW = 709.0
@@ -189,7 +190,7 @@ def evaluate(f: EntireFunction, z: complex) -> complex:
 
 def default_degree(alpha: float, max_radius: float) -> int:
     """Truncation degree that keeps kernel tails negligible up to max_radius."""
-    return max(64, math.ceil(4.0 * alpha * max_radius ** 2))
+    return max(64, node_count(4.0 * alpha * max_radius ** 2))
 
 
 def kernel(z: complex, params: FockParams, degree: int) -> EntireFunction:

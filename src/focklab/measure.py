@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import FocklabError, GridExtentError, PositivityError
 from .fock import FockParams
-from .numerics import PolarGrid, complex_fsum, min_angular_nodes, polar_grid
+from .numerics import (PolarGrid, complex_fsum, min_angular_nodes, node_count,
+                       polar_grid)
 
 _DROP = 1e-15
 
@@ -223,8 +224,9 @@ def density_values(mu: MeasureSymbol, nodes) -> np.ndarray:
 def _heat_kernel_nodes(mu: MeasureSymbol, alpha: float, z_max: float):
     """Node counts resolving e^{-alpha|z-w|^2} over the measure's support."""
     s = support_radius_of(mu)
-    radial = max(96, math.ceil(12.0 * s * math.sqrt(alpha)))
-    angular = max(192, min_angular_nodes(math.ceil(2.0 * alpha * s * z_max) + 16))
+    radial = max(96, node_count(12.0 * s * math.sqrt(alpha)))
+    angular = max(192, min_angular_nodes(node_count(2.0 * alpha * s * z_max)
+                                         + 16))
     return radial, angular
 
 
@@ -272,9 +274,9 @@ def berezin_grid(mu: MeasureSymbol, params: FockParams,
     s = support_radius_of(mu)
     radius = s + math.sqrt(_PAD_NATS / alpha)
     if radial_nodes is None:
-        radial_nodes = max(128, math.ceil(12.0 * radius * math.sqrt(alpha)))
+        radial_nodes = max(128, node_count(12.0 * radius * math.sqrt(alpha)))
     if angular_nodes is None:
-        freq = int(2.0 * alpha * s * radius) + 16
+        freq = node_count(2.0 * alpha * s * radius, math.floor) + 16
         angular_nodes = max(128, min_angular_nodes(freq))
     return polar_grid(radius, radial_nodes, angular_nodes)
 

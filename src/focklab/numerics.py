@@ -11,9 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln
 
-from .errors import QuadratureError
+from .errors import QuadratureError, ResourceError
 
 TWO_PI = 2.0 * math.pi
+# leggauss(n) holds two n x n float arrays (16 n^2 bytes) and a grid takes
+# about 24 bytes a node; each budget is where that reaches 8 GB of RAM
+_RADIAL_BUDGET = 23_000
+_NODE_BUDGET = 3.5e8
 
 
 def wrap_phase(theta: float) -> float:
@@ -79,6 +83,12 @@ def gaussian_tail_fraction(alpha: float, power: float, radius: float) -> float:
     return float(gammaincc(0.5 * power + 1.0, alpha * radius * radius))
 
 
+def node_count(x: float, rounding=math.ceil):
+    """rounding(x) as an int while that is exact; past 2^53 (where a float is
+    whole), or when x is not finite, x itself for polar_grid to refuse."""
+    return rounding(x) if x <= 2.0 ** 53 else x
+
+
 def min_angular_nodes(max_degree: int) -> int:
     """Angular node count that resolves polynomial degree ``max_degree`` exactly."""
     return 2 * max_degree + 2
@@ -111,7 +121,17 @@ class PolarGrid:
 
 def polar_grid(cutoff_radius: float, radial_nodes: int,
                angular_nodes: int) -> PolarGrid:
-    """Build a PolarGrid over the disk |z| <= cutoff_radius."""
+    """Build a PolarGrid over the disk |z| <= cutoff_radius.
+
+    Node counts over the budget raise ResourceError before any allocation.
+    """
+    # one count at a time, so a huge int is never converted to a float
+    if not (radial_nodes <= _RADIAL_BUDGET and angular_nodes <= _NODE_BUDGET
+            and radial_nodes * angular_nodes <= _NODE_BUDGET):
+        raise ResourceError(
+            f"polar grid of {radial_nodes} x {angular_nodes} nodes exceeds "
+            f"the budget of {_RADIAL_BUDGET} radial and {_NODE_BUDGET:.3g} "
+            f"total nodes")
     if not cutoff_radius > 0.0:
         raise ValueError(f"cutoff radius must be positive, got {cutoff_radius!r}")
     if radial_nodes < 1 or angular_nodes < 4:

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .errors import FocklabError, GridExtentError, TruncationError
+from .errors import (FocklabError, GridExtentError, QuadratureError,
+                     TruncationError)
 from .fock import FockParams
-from .measure import (Density, GaussianDensity, MeasureSymbol, PointMasses,
+from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, density_values, support_radius_of)
-from .numerics import (PolarGrid, complex_fsum, log_basis_coeff, log_factorial,
-                       polar_grid, tail_radius)
+from .numerics import (PolarGrid, complex_fsum, log_basis_coeff, polar_grid,
+                       tail_radius)
 
 _TAIL_TOL = 1e-12
 _REFINE_TOL = 1e-8
@@ -92,16 +93,12 @@ def _quadrature_grid(size: int, params: FockParams,
     return polar_grid(cutoff, max(96, 2 * size), max(192, 4 * size))
 
 
-def _refined(grid: PolarGrid) -> PolarGrid:
-    return polar_grid(grid.cutoff_radius, (3 * grid.n_radial) // 2,
-                      2 * grid.n_angular)
-
-
 def _density_support(mu) -> float:
+    """Radius carrying the density; inf for a radial profile that decays."""
     if isinstance(mu, GaussianDensity):
         return abs(mu.center) + mu.effective_radius(1e-18)
-    if isinstance(mu, Density):
-        return abs(mu.center) + mu.support_radius
+    if isinstance(mu, RadialDensity):
+        return mu.support_radius
     return support_radius_of(mu)
 
 
@@ -110,12 +107,60 @@ def _pairing_matrix(nodes, c: np.ndarray, size: int, alpha: float,
     """Entries (alpha/pi) sum_i c_i L[m, i] E[n, i], E = basis_matrix(nodes).
 
     L is conj(E) for the sesquilinear (Toeplitz) pairing and E for the
-    bilinear (Hankel) one; c holds point masses, or quadrature weights times
-    density values.
+    bilinear (Hankel) one; c holds point masses or lattice cell masses.
     """
     e = basis_matrix(nodes, size, alpha)
     left = np.conj(e) if conjugate_output else e
     return (alpha / math.pi) * (left @ (c[:, None] * e.T))
+
+
+def _ring_bands(rho: np.ndarray, bilinear: bool = False):
+    """Yield (k, m, n, rho_m rho_n) for each band of index pairs sharing k.
+
+    On a ring of radius t, e_n(z) e^{-alpha|z|^2/2} = rho_n(t) e^{i n theta},
+    so conj(e_m) e_n carries e^{-i k theta} with k = m - n and e_m e_n
+    carries it with k = -(m + n) (bilinear).  Reduced mod the angular node
+    count, k is the DFT bin a band meets, and a grid with fewer angles than
+    frequencies aliases exactly as the node sum does.
+    """
+    size = rho.shape[0]
+    for s in range(2 * size - 1):
+        m = np.arange(max(0, s - size + 1), min(s, size - 1) + 1)
+        n = s - m if bilinear else m + size - 1 - s
+        yield (-s if bilinear else s + 1 - size), m, n, rho[m] * rho[n]
+
+
+def _ring_pairing(mu, grid: PolarGrid, size: int, alpha: float,
+                  bilinear: bool = False) -> np.ndarray:
+    """_pairing_matrix over the grid nodes with c = weights x density.
+
+    Each ring's angular sums come from one FFT of c along that ring.
+    """
+    with np.errstate(invalid="ignore"):  # inf x 0 parts; refused below
+        c = grid.weights * density_values(mu, grid.nodes)
+    if not np.all(np.isfinite(c)):
+        raise QuadratureError(f"density is not finite on the grid of radius "
+                              f"{grid.cutoff_radius:g}")
+    c_hat = np.fft.fft(c.reshape(grid.n_radial, grid.n_angular), axis=1)
+    rho = basis_matrix(grid.radii, size, alpha).real
+    entries = np.empty((size, size), dtype=complex)
+    for k, m, n, prod in _ring_bands(rho, bilinear):
+        entries[m, n] = prod @ c_hat[:, k % grid.n_angular]
+    return (alpha / math.pi) * entries
+
+
+def _ring_transform(entries: np.ndarray, grid: PolarGrid,
+                    alpha: float) -> np.ndarray:
+    """Operator transform sum M[m, n] E[m, i] conj(E[n, i]) at every node.
+
+    The bands m - n = k are summed per ring, then one inverse FFT per ring
+    puts back their angular factors e^{i k theta}.
+    """
+    rho = basis_matrix(grid.radii, entries.shape[0], alpha).real
+    spectrum = np.zeros((grid.n_radial, grid.n_angular), dtype=complex)
+    for k, m, n, prod in _ring_bands(rho):
+        spectrum[:, k % grid.n_angular] += entries[m, n] @ prod
+    return np.fft.ifft(spectrum, axis=1, norm="forward").ravel()
 
 
 def build_from_point_masses(mu: PointMasses, size: int,
@@ -126,50 +171,19 @@ def build_from_point_masses(mu: PointMasses, size: int,
                              provenance=f"point-masses({len(mu.points)})")
 
 
-def build_from_radial_density(profile, size: int, params: FockParams,
-                              support_radius: float = math.inf
-                              ) -> TruncatedOperator:
-    """Diagonal matrix of a Toeplitz operator with radial density profile(|w|).
-
-    The profile must be smooth on [0, support_radius]; a cutoff beyond which
-    the profile vanishes belongs in support_radius, not inside the callable,
-    or the quadrature integrates across the jump.
-    """
-    alpha = params.alpha
-    cutoff = min(support_radius, tail_radius(alpha, 2 * size, 1e-15))
-    x, w = np.polynomial.legendre.leggauss(max(96, 2 * size))
-    t = 0.5 * cutoff * (x + 1.0)
-    wt = 0.5 * cutoff * w
-    values = np.asarray(profile(t), dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise FocklabError("radial profile is not finite on the grid")
-    n = np.arange(size)
-    log_coeff = math.log(2.0) + (n + 1) * math.log(alpha) - log_factorial(n)
-    log_shape = (2 * n[:, None] + 1) * np.log(t)[None, :] - alpha * t[None, :] ** 2
-    logs = log_coeff[:, None] + log_shape
-    ref = logs.max(axis=1, keepdims=True)
-    terms = np.exp(logs - ref) * (wt * values)[None, :]
-    diag = np.exp(ref[:, 0]) * np.array([complex_fsum(row) for row in terms])
-    return TruncatedOperator(np.diag(diag), size, params,
-                             provenance=f"radial-density(nodes={t.size})")
-
-
-def build_from_density(mu, size: int, params: FockParams,
-                       grid: PolarGrid | None = None) -> TruncatedOperator:
+def build_from_density(mu, size: int, params: FockParams) -> TruncatedOperator:
     """Matrix of a Toeplitz operator with a density symbol by 2D quadrature.
 
-    The result uses the given (or default) grid; a refined companion grid
-    estimates the quadrature error, and disagreement beyond 1e-8 is recorded
-    as a warning in the provenance rather than raised.
+    A refined companion grid estimates the quadrature error; disagreement
+    beyond 1e-8 is recorded as a warning in the provenance rather than raised.
     """
     if isinstance(mu, PointMasses):
         raise FocklabError("use build_from_point_masses for point masses")
-    if grid is None:
-        grid = _quadrature_grid(size, params, _density_support(mu))
-    entries, check = (
-        _pairing_matrix(g.nodes, g.weights * density_values(mu, g.nodes),
-                        size, params.alpha)
-        for g in (grid, _refined(grid)))
+    grid = _quadrature_grid(size, params, _density_support(mu))
+    refined = polar_grid(grid.cutoff_radius, (3 * grid.n_radial) // 2,
+                         2 * grid.n_angular)
+    entries, check = (_ring_pairing(mu, g, size, params.alpha)
+                      for g in (grid, refined))
     gap = float(np.max(np.abs(entries - check)))
     provenance = (f"2d-quadrature(radial={grid.n_radial},"
                   f"angular={grid.n_angular})")
@@ -180,16 +194,9 @@ def build_from_density(mu, size: int, params: FockParams,
 
 def build_from_measure(mu: MeasureSymbol, size: int,
                        params: FockParams) -> TruncatedOperator:
-    """Toeplitz matrix for any measure variant, dispatched to the best builder."""
+    """Toeplitz matrix for any measure: point masses or a density."""
     if isinstance(mu, PointMasses):
         return build_from_point_masses(mu, size, params)
-    if isinstance(mu, RadialDensity):
-        return build_from_radial_density(mu.profile_values, size, params,
-                                         support_radius=mu.support_radius)
-    if isinstance(mu, GaussianDensity) and mu.center == 0j:
-        return build_from_radial_density(
-            lambda t: mu.amplitude * np.exp(-mu.beta * t ** 2), size, params,
-            support_radius=mu.effective_radius(1e-18))
     return build_from_density(mu, size, params)
 
 
@@ -197,12 +204,11 @@ def build_hankel(mu: MeasureSymbol, size: int,
                  params: FockParams) -> HankelMatrix:
     """Bilinear (small Hankel) pairing matrix of the measure."""
     if isinstance(mu, PointMasses):
-        nodes, c = mu.locations, mu.weights
+        entries = _pairing_matrix(mu.locations, mu.weights, size,
+                                  params.alpha, conjugate_output=False)
     else:
         grid = _quadrature_grid(size, params, _density_support(mu))
-        nodes, c = grid.nodes, grid.weights * density_values(mu, grid.nodes)
-    entries = _pairing_matrix(nodes, c, size, params.alpha,
-                              conjugate_output=False)
+        entries = _ring_pairing(mu, grid, size, params.alpha, bilinear=True)
     entries = 0.5 * (entries + entries.T)
     return HankelMatrix(entries, size, params)
 
@@ -226,14 +232,9 @@ def berezin_operator(op: TruncatedOperator, z):
         raise TruncationError(
             f"kernel basis tail {worst:.3e} at truncation {op.truncation} "
             f"exceeds {_TAIL_TOL:g}; enlarge N or shrink |z|")
-    out = _transform_samples(op.entries, zs, op.params.alpha)
+    e = basis_matrix(zs, op.truncation, op.params.alpha)
+    out = np.sum(e * (op.entries @ np.conj(e)), axis=0)
     return complex(out[0]) if scalar else out
-
-
-def _transform_samples(entries: np.ndarray, nodes,
-                       alpha: float) -> np.ndarray:
-    e = basis_matrix(nodes, entries.shape[0], alpha)
-    return np.sum(e * (entries @ np.conj(e)), axis=0)
 
 
 def trace(op) -> complex:
@@ -267,7 +268,7 @@ def trace_via_berezin(op: TruncatedOperator,
     """Trace recovered as the plane integral of the Berezin transform."""
     grid = _covering_grid(op, grid)
     alpha = op.params.alpha
-    weighted = grid.weights * _transform_samples(op.entries, grid.nodes, alpha)
+    weighted = grid.weights * _ring_transform(op.entries, grid, alpha)
     return (alpha / math.pi) * complex_fsum(weighted)
 
 
@@ -281,7 +282,7 @@ def transform_l1_norm(op: TruncatedOperator,
     """
     grid = _covering_grid(op, grid)
     alpha = op.params.alpha
-    samples = _transform_samples(op.entries, grid.nodes, alpha)
+    samples = _ring_transform(op.entries, grid, alpha)
     return (alpha / math.pi) * math.fsum(grid.weights * np.abs(samples))
 
 
@@ -342,7 +343,7 @@ def trace_pairing(phi, op: TruncatedOperator,
             f"kernel basis tail {float(tail):.3e} over the symbol support "
             f"exceeds {_TAIL_TOL:g} at truncation {size}")
     values = density_values(phi, grid.nodes)
-    transform = berezin_operator(op, grid.nodes)
+    transform = _ring_transform(op.entries, grid, params.alpha)
     weighted = grid.weights * values * transform
     quad_side = (params.alpha / math.pi) * complex_fsum(weighted)
     return matrix_side, quad_side

@@ -204,6 +204,28 @@ class TestCellBudget:
         assert [row["r"] for row in rows] == [2.0 ** -n for n in range(7)]
 
 
+class TestNodeBudget:
+    """Quadrature grids too large for memory stop before leggauss runs."""
+
+    @pytest.mark.parametrize("subcommand, alpha", [
+        ("kernel-continuity", 1e6),
+        ("berezin", 1e300),
+        ("kernel-continuity", 1e300),
+        ("berezin", 1e308),
+        ("kernel-continuity", 1e308),
+    ])
+    def test_resource_error_is_two(self, tmp_path, capsys, subcommand, alpha):
+        config = write(tmp_path, "grid.json", json.dumps({
+            "alpha": alpha,
+            "measure": {"type": "uniform_disk", "radius": 1.0}}))
+        start = time.monotonic()
+        assert main([subcommand, "--config", config]) == 2
+        assert time.monotonic() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ResourceError: polar grid")
+
+
 class TestCsvOutput:
 
     def test_csv_embeds_version_and_hash(self, tmp_path, capsys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from focklab.errors import QuadratureError
+from focklab.errors import QuadratureError, ResourceError
 from focklab.numerics import (gaussian_tail_fraction, integrate_plane,
                               log_basis_coeff, log_factorial, log_gamma, lr_norm,
-                              min_angular_nodes, polar_grid, tail_radius)
+                              min_angular_nodes, node_count, polar_grid,
+                              tail_radius)
 
 
 class TestLogGamma:
@@ -99,6 +100,21 @@ class TestPolarGrid:
             polar_grid(1.0, 0, 8)
         with pytest.raises(ValueError):
             polar_grid(1.0, 10, 2)
+
+    @pytest.mark.parametrize("radial, angular", [
+        (23_001, 8), (100, 3_500_001), (8, 3.6e8), (math.inf, 8),
+        (8, math.nan), (10 ** 400, 2 * 10 ** 400 + 2)])
+    def test_node_budget(self, radial, angular):
+        with pytest.raises(ResourceError):
+            polar_grid(1.0, radial, angular)
+
+    def test_node_count_stays_float_past_exact_ints(self):
+        assert node_count(2.5) == 3 and isinstance(node_count(2.5), int)
+        assert node_count(2.5, math.floor) == 2
+        assert node_count(1e300) == 1e300 and isinstance(node_count(1e300),
+                                                         float)
+        assert node_count(math.inf) == math.inf
+        assert math.isnan(node_count(math.nan))
 
     def test_non_finite_sample_names_node(self):
         grid = polar_grid(1.0, 4, 4)

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, gammaln
 
-from focklab.errors import FocklabError, GridExtentError, TruncationError
+from focklab.errors import (FocklabError, GridExtentError, QuadratureError,
+                            TruncationError)
 from focklab.fock import FockParams
 from focklab.measure import (Density, GaussianDensity, PointMasses,
-                             berezin_measure, is_positive, total_mass,
-                             uniform_disk)
+                             RadialDensity, berezin_measure, density_values,
+                             is_positive, total_mass, uniform_disk)
 from focklab.numerics import polar_grid
 from focklab.toeplitz import (HankelMatrix, TruncatedOperator,
+                              _pairing_matrix, _quadrature_grid,
+                              _ring_pairing, _ring_transform,
                               adjoint_isometry_check, basis_matrix,
                               berezin_operator, build_from_density,
                               build_from_measure, build_from_point_masses,
-                              build_from_radial_density, build_hankel,
-                              identity_operator, schatten_norm, trace,
-                              trace_pairing, trace_via_berezin,
+                              build_hankel, identity_operator, schatten_norm,
+                              trace, trace_pairing, trace_via_berezin,
                               transform_l1_norm)
 
 PARAMS = FockParams(alpha=1.0)
@@ -61,39 +63,53 @@ class TestPointMassBuilder:
             op.entries[0, 0] = 5.0
 
 
+def radial(profile, support_radius=math.inf):
+    return RadialDensity(profile=profile, support_radius=support_radius)
+
+
 class TestRadialBuilder:
 
     def test_full_plane_constant_is_identity(self):
-        op = build_from_radial_density(lambda t: np.ones_like(t), 64, PARAMS)
+        op = build_from_density(radial(lambda t: np.ones_like(t)), 64, PARAMS)
         assert np.max(np.abs(op.entries - np.eye(64))) < 1e-12
 
     def test_gaussian_profile_geometric_diagonal(self):
         beta = 2.0
-        op = build_from_radial_density(lambda t: np.exp(-beta * t * t), 64,
-                                       PARAMS)
+        op = build_from_density(radial(lambda t: np.exp(-beta * t * t)), 64,
+                                PARAMS)
         expected = (1.0 / (1.0 + beta)) ** (np.arange(64) + 1)
         assert np.max(np.abs(np.diagonal(op.entries) - expected)) < 1e-13
 
     def test_unit_interval_indicator_incomplete_gamma(self):
-        op = build_from_radial_density(lambda t: np.ones_like(t), 64, PARAMS,
-                                       support_radius=1.0)
+        op = build_from_density(radial(lambda t: np.ones_like(t), 1.0), 64,
+                                PARAMS)
         expected = gammainc(np.arange(64) + 1, 1.0)
         assert np.max(np.abs(np.diagonal(op.entries) - expected)) < 1e-13
 
     def test_non_finite_profile_rejected(self):
-        with pytest.raises(FocklabError):
-            build_from_radial_density(lambda t: np.where(t > 4.0, np.inf, 1.0),
-                                      8, PARAMS)
+        with pytest.raises(QuadratureError):
+            build_from_density(
+                radial(lambda t: np.where(t > 4.0, np.inf, 1.0)), 8, PARAMS)
 
 
 class TestDensityBuilder:
 
     def test_radial_density_matches_dedicated_path(self):
-        disk = uniform_disk(1.0, 1.0)
-        generic = build_from_density(disk, 48, PARAMS)
-        dedicated = build_from_measure(disk, 48, PARAMS)
-        assert np.max(np.abs(generic.entries - dedicated.entries)) < 1e-9
-        assert "warning" not in generic.provenance
+        # the disk a 1_{|w| <= R} has diagonal a P(n + 1, alpha R^2) and no
+        # other entries: every ring carries only angular frequency 0
+        op = build_from_density(uniform_disk(0.7, 1.0), 48, PARAMS)
+        expected = 0.7 * gammainc(np.arange(48) + 1, 1.0)
+        assert np.max(np.abs(np.diagonal(op.entries) - expected)) < 4e-15
+        assert np.array_equal(op.entries, np.diag(np.diagonal(op.entries)))
+        assert "warning" not in op.provenance
+
+    def test_non_finite_density_rejected(self):
+        # infinite inside the support, so a node sum would be NaN
+        mu = Density(lambda w: np.where(np.abs(w) > 1.0, np.inf, 1.0), 3.0)
+        with pytest.raises(QuadratureError):
+            build_from_measure(mu, 16, FockParams(1.0))
+        with pytest.raises(QuadratureError):
+            build_hankel(mu, 16, FockParams(1.0))
 
     def test_large_disk_diagonal_approaches_identity(self):
         # Basis mass outside radius 12 is below 1e-12 for the first 32 modes.
@@ -304,6 +320,42 @@ class TestTracePairing:
         with pytest.raises(FocklabError):
             trace_pairing(GaussianDensity(1.0, 1.0),
                           identity_operator(16, PARAMS))
+
+
+def dense_transform(entries, nodes):
+    e = basis_matrix(nodes, entries.shape[0], PARAMS.alpha)
+    return np.sum(e * (entries @ np.conj(e)), axis=0)
+
+
+RING_SYMBOLS = [
+    GaussianDensity(0.7, 1.3, center=1.1 - 0.4j),
+    Density(lambda w: np.exp(-np.abs(w) ** 2) * (w.real - 0.3 * w.imag ** 2),
+            4.0, center=0.2 + 0.1j),
+]
+
+
+class TestRingPath:
+    """Ring-by-ring FFT sums against the dense node sums on the same grid."""
+
+    @pytest.mark.parametrize("size", [24, 64])
+    @pytest.mark.parametrize("which", ["default", "aliased"])
+    @pytest.mark.parametrize("mu", RING_SYMBOLS, ids=["gaussian", "signed"])
+    def test_matches_dense_node_sum(self, mu, size, which):
+        if which == "default":
+            grid = _quadrature_grid(size, PARAMS, 6.0)
+        else:
+            # fewer angles than the 2N - 1 frequencies: both sums alias
+            grid = polar_grid(7.0, size + 8, 2 * size - 5)
+        c = grid.weights * density_values(mu, grid.nodes)
+        for bilinear in (False, True):
+            dense = _pairing_matrix(grid.nodes, c, size, PARAMS.alpha,
+                                    conjugate_output=not bilinear)
+            ring = _ring_pairing(mu, grid, size, PARAMS.alpha, bilinear)
+            assert np.max(np.abs(ring - dense)) < 1e-14
+        entries = build_from_measure(mu, size, PARAMS).entries
+        ring = _ring_transform(entries, grid, PARAMS.alpha)
+        dense = dense_transform(entries, grid.nodes)
+        assert np.max(np.abs(ring - dense)) < 1e-14
 
 
 class TestBasisMatrix:
