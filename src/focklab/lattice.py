@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import FocklabError, ResourceError
-from .fock import FockParams, default_degree, norm, norm_grid, normalized_kernel
+from .fock import FockParams, default_degree, norm, norm_grid
 from .measure import (Density, GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, berezin_lr_norm, density_values,
                       disk_cell_area, require_positive, support_radius_of,
@@ -229,12 +229,12 @@ def rigidity_experiment(mu: MeasureSymbol, pq_grid, params: FockParams,
         run = FockParams(alpha=params.alpha, p=p, q=q)
         residual = 0.0
         for center in probes:
-            degree = default_degree(run.alpha, abs(center))
-            k = normalized_kernel(center, run, degree)
-            grid = norm_grid(run, degree)
+            grid = norm_grid(run, default_degree(run.alpha, abs(center)))
+            # log |k_c(w)| e^{-alpha |w|^2 / 2} in closed form
+            weighted_logs = -0.5 * run.alpha * np.abs(grid.nodes - center) ** 2
             for exponent in (run.p_conjugate, run.q):
-                residual = max(residual,
-                               abs(norm(k, exponent, run, grid) - 1.0))
+                residual = max(residual, abs(
+                    norm(weighted_logs, exponent, run, grid) - 1.0))
         rows.append(RigidityRow(p=float(p), q=float(q), lower=lower,
                                 upper=upper, kernel_norm_residual=residual))
     within = upper <= lower * (1.0 + slack) + 1e-12

@@ -13,12 +13,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FocklabError, GridExtentError, PositivityError
+from .errors import (FocklabError, GridExtentError, PositivityError,
+                     ResourceError)
 from .fock import FockParams
 from .numerics import (PolarGrid, complex_fsum, min_angular_nodes, node_count,
                        polar_grid)
 
 _DROP = 1e-15
+# heat-kernel entries (evaluation points x measure nodes) one transform may
+# compute: about 18 s at 18 ns an entry on 2 vCPUs, 2.7 times the largest
+# transform the tests run (3.7e8)
+_WORK_BUDGET = 1e9
+# bytes of one complex kernel chunk; a chunk also stays at most 512 rows,
+# so every chunk that fits keeps the row grouping BLAS rounds by
+_CHUNK_BYTES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -249,9 +257,16 @@ def berezin_measure(mu: MeasureSymbol, z, params: FockParams):
                                                  float(np.abs(z_arr).max()))
             w, wt, values = density_samples(mu, radial, angular)
             c = wt * values
+        work = z_arr.size * w.size
+        if not work <= _WORK_BUDGET:
+            raise ResourceError(
+                f"Berezin transform at {z_arr.size} points against {w.size} "
+                f"measure nodes needs {work:.3g} kernel entries, over the "
+                f"budget of {_WORK_BUDGET:.3g}")
+        rows = min(512, max(1, _CHUNK_BYTES // (16 * max(1, w.size))))
         chunks = []
-        for start in range(0, z_arr.size, 512):
-            blk = z_arr.ravel()[start:start + 512]
+        for start in range(0, z_arr.size, rows):
+            blk = z_arr.ravel()[start:start + rows]
             ker = np.exp(-alpha * np.abs(blk[:, None] - w[None, :]) ** 2)
             chunks.append(ker @ c)
         out = (alpha / math.pi) * np.concatenate(chunks).reshape(z_arr.shape)

@@ -1,6 +1,6 @@
 """Log-scale special functions and polar quadrature over the complex plane.
 
-Everything downstream (kernel evaluation, operator assembly, lacunary series)
+Everything downstream (basis sampling, operator assembly, lacunary series)
 routes magnitude bookkeeping through log-scale values so that factorials and
 Gaussian weights never materialize as overflowing floats.
 """
@@ -20,33 +20,9 @@ _RADIAL_BUDGET = 23_000
 _NODE_BUDGET = 3.5e8
 
 
-def wrap_phase(theta: float) -> float:
-    """Reduce an angle to the canonical interval [-pi, pi)."""
-    wrapped = math.fmod(theta + math.pi, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    return wrapped - math.pi
-
-
 def complex_fsum(values) -> complex:
     """Correctly rounded sum of complex samples, real and imaginary parts apart."""
     return complex(math.fsum(values.real), math.fsum(values.imag))
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for real x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return float(gammaln(x))
-
-
-def log_factorial(n):
-    """ln(n!) for nonnegative integer n; accepts arrays."""
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("log_factorial requires n >= 0")
-    out = gammaln(n + 1.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def log_basis_coeff(n, alpha: float):

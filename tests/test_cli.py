@@ -226,6 +226,22 @@ class TestNodeBudget:
         assert captured.err.startswith("ResourceError: polar grid")
 
 
+class TestTransformBudget:
+    """A Berezin transform too large to compute stops before its kernel."""
+
+    def test_resource_error_is_two(self, tmp_path, capsys):
+        # 601 points against 537 x 8984 disk nodes: 2.9e9 kernel entries
+        config = write(tmp_path, "disk.json", json.dumps({
+            "alpha": 2000,
+            "measure": {"type": "uniform_disk", "radius": 1.0}}))
+        start = time.monotonic()
+        assert main(["berezin", "--config", config]) == 2
+        assert time.monotonic() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ResourceError: Berezin transform")
+
+
 class TestCsvOutput:
 
     def test_csv_embeds_version_and_hash(self, tmp_path, capsys):

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from focklab.cli import main
 from focklab.errors import FocklabError, PositivityError
-from focklab.fock import (FockParams, basis_coefficients, default_degree, norm,
-                          norm_grid, normalized_kernel)
+from focklab.fock import FockParams, default_degree, norm, norm_grid
 from focklab.lattice import (convergence_study, lattice_nuclear_bound,
                              lattice_operator, lattice_partition,
                              rigidity_experiment)
@@ -127,42 +127,46 @@ class TestRankOneRep:
             assert int(np.sum(sigma > 1e-12)) <= len(part.cells)
 
     def test_rep_operator_matches_lattice_operator(self):
-        # sum_j (alpha/pi) w_j k_j (x) k_j over truncated normalized kernels
+        # sum_j (alpha/pi) w_j k_j (x) k_j, with the basis coefficients
+        # sqrt(alpha^n / n!) conj(c)^n e^{-alpha|c|^2/2} of the unit kernel k_c
         part = lattice_partition(uniform_disk(1.0, 1.0), 0.5)
         size = 32
-        degree = default_degree(PARAMS.alpha,
-                                max(abs(c) for c, _ in part.cells))
+        n = np.arange(size)
+        log_norms = 0.5 * (n * math.log(PARAMS.alpha) - gammaln(n + 1.0))
         expected = np.zeros((size, size), dtype=complex)
         for center, weight in part.cells:
-            k = basis_coefficients(normalized_kernel(center, PARAMS, degree),
-                                   PARAMS, size)
+            k = np.exp(log_norms - 0.5 * PARAMS.alpha * abs(center) ** 2) * (
+                np.conj(center) ** n)
             expected += (PARAMS.alpha / math.pi) * weight * np.outer(
                 k, np.conj(k))
         op = lattice_operator(part, size, PARAMS)
         assert np.max(np.abs(op.entries - expected)) < 1e-14
 
 
+def kernel_logs(center, grid):
+    """log|k_c(w)| - alpha|w|^2/2 = -alpha|w - c|^2/2 at the grid nodes."""
+    return -0.5 * PARAMS.alpha * np.abs(grid.nodes - center) ** 2
+
+
 class TestNuclearUpperBound:
 
     def test_single_normalized_kernel(self):
         # the unit cross norm that lets the bound skip quadrature
-        degree = default_degree(1.0, 1.0)
-        k = normalized_kernel(1.0, PARAMS, degree)
-        grid = norm_grid(PARAMS, degree)
-        cross = (norm(k, PARAMS.p_conjugate, PARAMS, grid)
-                 * norm(k, PARAMS.q, PARAMS, grid))
+        grid = norm_grid(PARAMS, default_degree(1.0, 1.0))
+        logs = kernel_logs(1.0, grid)
+        cross = (norm(logs, PARAMS.p_conjugate, PARAMS, grid)
+                 * norm(logs, PARAMS.q, PARAMS, grid))
         assert cross == pytest.approx(1.0, rel=1e-9)
 
     def test_two_kernels(self):
         # the bound equals the quadrature cross norms of the cell kernels
         part = lattice_partition(PointMasses(((0j, 1.0), (1.0, -2.0))), 1.0)
-        degree = default_degree(1.0, 1.0)
-        grid = norm_grid(PARAMS, degree)
+        grid = norm_grid(PARAMS, default_degree(1.0, 1.0))
         summed = 0.0
         for center, weight in part.cells:
-            k = normalized_kernel(center, PARAMS, degree)
-            summed += abs(weight) * (norm(k, PARAMS.p_conjugate, PARAMS, grid)
-                                     * norm(k, PARAMS.q, PARAMS, grid))
+            logs = kernel_logs(center, grid)
+            summed += abs(weight) * (norm(logs, PARAMS.p_conjugate, PARAMS, grid)
+                                     * norm(logs, PARAMS.q, PARAMS, grid))
         assert lattice_nuclear_bound(part, PARAMS) == pytest.approx(
             (PARAMS.alpha / math.pi) * summed, rel=1e-9)
 

@@ -5,31 +5,9 @@ import pytest
 
 from focklab.errors import QuadratureError, ResourceError
 from focklab.numerics import (gaussian_tail_fraction, integrate_plane,
-                              log_basis_coeff, log_factorial, log_gamma, lr_norm,
+                              log_basis_coeff, lr_norm,
                               min_angular_nodes, node_count, polar_grid,
                               tail_radius)
-
-
-class TestLogGamma:
-
-    def test_integer_anchors(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-13)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-
-    def test_half_integer(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
-
-    def test_log_factorial_matches_products(self):
-        for n in (0, 1, 5, 30):
-            assert log_factorial(n) == pytest.approx(
-                math.fsum(math.log(k) for k in range(1, n + 1)), rel=1e-13, abs=1e-13)
 
 
 class TestLogBasisCoeff:
