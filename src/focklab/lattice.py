@@ -49,24 +49,20 @@ class LatticePartition:
         return np.array([w for _, w in self.cells], dtype=complex)
 
 
-def _ring_major(indexed: dict[tuple[int, int], complex], r: float):
-    def key(item):
-        (i, j), _ = item
-        ring = max(abs(i), abs(j))
-        angle = math.atan2(j, i) % (2.0 * math.pi)
-        return (ring, angle, i, j)
+def _cell_index(x, y, r: float):
+    """Lattice indices, as whole floats, of the cells holding the points.
 
-    return tuple((complex(i * r, j * r), w)
-                 for (i, j), w in sorted(indexed.items(), key=key))
-
-
-def _cell_index(x: float, y: float, r: float) -> tuple[int, int]:
-    # Half-open convention: the cell around 0 is -r/2 <= x < r/2.
-    i, j = x / r + 0.5, y / r + 0.5
-    if not (math.isfinite(i) and math.isfinite(j)):
+    Half-open convention: the cell around 0 is -r/2 <= x < r/2.
+    """
+    with np.errstate(over="ignore"):
+        i, j = np.asarray(x) / r + 0.5, np.asarray(y) / r + 0.5
+    finite = np.isfinite(i) & np.isfinite(j)
+    if not np.all(finite):
+        first = np.argmin(finite.ravel())
+        point = complex(np.ravel(x)[first], np.ravel(y)[first])
         raise ResourceError(f"lattice side {r!r} cannot index the point "
-                            f"{complex(x, y)!r}; use a larger r")
-    return int(math.floor(i)), int(math.floor(j))
+                            f"{point!r}; use a larger r")
+    return np.floor(i), np.floor(j)
 
 
 def _budget_reach(reach: float, r: float) -> int:
@@ -83,62 +79,97 @@ def _budget_reach(reach: float, r: float) -> int:
     return int(reach)
 
 
+def _block(ci, cj, reach: int):
+    """Indices of the squares within reach of cell (ci, cj), row-major."""
+    offsets = np.arange(-reach, reach + 1.0)
+    i, j = np.meshgrid(ci + offsets, cj + offsets, indexing="ij")
+    return i.ravel(), j.ravel()
+
+
+def _point_cells(mu: PointMasses, r: float):
+    """Point masses summed per cell, each cell in order of its points."""
+    locations = mu.locations
+    ij = np.stack(_cell_index(locations.real, locations.imag, r))
+    cells, owner = np.unique(ij, axis=1, return_inverse=True)
+    masses = np.zeros(cells.shape[1], dtype=complex)
+    np.add.at(masses, owner.ravel(), mu.weights)
+    return cells[0], cells[1], masses
+
+
+def _disk_cells(mu: RadialDensity, r: float):
+    """Cells inside the disk get constant r^2; only the cells its circle
+    crosses need the exact geometry of disk_cell_area."""
+    radius = mu.support_radius
+    i, j = _block(0, 0, _budget_reach(np.floor(radius / r + 0.5) + 1.0, r))
+    far = np.hypot((np.abs(i) + 0.5) * r, (np.abs(j) + 0.5) * r)
+    near = np.hypot(np.maximum(np.abs(i) - 0.5, 0.0) * r,
+                    np.maximum(np.abs(j) - 0.5, 0.0) * r)
+    area = np.where(far <= radius, r * r, 0.0)
+    for c in np.flatnonzero((far > radius) & (near < radius)):
+        area[c] = disk_cell_area((i[c] - 0.5) * r, (i[c] + 0.5) * r,
+                                 (j[c] - 0.5) * r, (j[c] + 0.5) * r, radius)
+    inside = area > 0.0
+    return i[inside], j[inside], mu.constant_value * area[inside]
+
+
+def _gaussian_cells(mu: GaussianDensity, r: float):
+    """Cell masses as the outer product of the two erf differences."""
+    s = math.sqrt(mu.beta)
+    reach = _budget_reach(np.ceil(mu.effective_radius(1e-18) / r) + 1.0, r)
+    i, j = _block(*_cell_index(mu.center.real, mu.center.imag, r), reach)
+    width = 2 * reach + 1
+
+    def side(k: np.ndarray, x: float) -> np.ndarray:
+        return erf(s * ((k + 0.5) * r - x)) - erf(s * ((k - 0.5) * r - x))
+
+    scale_2d = mu.amplitude * math.pi / (4.0 * mu.beta)
+    masses = np.outer(scale_2d * side(i[::width], mu.center.real),
+                      side(j[:width], mu.center.imag))
+    return i, j, masses.ravel()
+
+
+def _quadrature_cells(mu, r: float):
+    """Gauss-Legendre cell masses of any other density, one row at a time."""
+    radius = support_radius_of(mu)
+    center = mu.center if isinstance(mu, Density) else 0j
+    reach = _budget_reach(np.floor(radius / r + 0.5) + 1.0, r)
+    i, j = _block(*_cell_index(center.real, center.imag, r), reach)
+    x, w = np.polynomial.legendre.leggauss(_CELL_QUAD_NODES)
+    offset = 0.5 * r * x
+    cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
+    masses = np.empty(i.size, dtype=complex)
+    for row in range(0, i.size, 2 * reach + 1):
+        cols = slice(row, row + 2 * reach + 1)
+        nodes = ((i[row] * r + offset)[None, :, None]
+                 + 1j * (j[cols, None] * r + offset)[:, None, :])
+        values = density_values(mu, nodes.ravel()).reshape(-1, cell_w.size)
+        masses[cols] = [complex_fsum(cell_w * v) for v in values]
+    nonzero = masses != 0j
+    return i[nonzero], j[nonzero], masses[nonzero]
+
+
 def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     """Cell masses of the measure on the lattice of side r."""
     if not r > 0.0:
         raise ValueError("lattice side must be positive")
-    indexed: dict[tuple[int, int], complex] = {}
     if isinstance(mu, PointMasses):
-        for loc, weight in mu.points:
-            ij = _cell_index(loc.real, loc.imag, r)
-            indexed[ij] = indexed.get(ij, 0j) + weight
+        i, j, masses = _point_cells(mu, r)
     elif isinstance(mu, RadialDensity) and mu.constant_value is not None:
-        radius = mu.support_radius
-        reach = _budget_reach(np.floor(radius / r + 0.5) + 1.0, r)
-        for i in range(-reach, reach + 1):
-            for j in range(-reach, reach + 1):
-                area = disk_cell_area((i - 0.5) * r, (i + 0.5) * r,
-                                      (j - 0.5) * r, (j + 0.5) * r, radius)
-                if area > 0.0:
-                    indexed[(i, j)] = mu.constant_value * area
+        i, j, masses = _disk_cells(mu, r)
     elif isinstance(mu, GaussianDensity):
-        radius = mu.effective_radius(1e-18)
-        s = math.sqrt(mu.beta)
-        reach = _budget_reach(np.ceil(radius / r) + 1.0, r)
-        ci, cj = _cell_index(mu.center.real, mu.center.imag, r)
-        scale_2d = mu.amplitude * math.pi / (4.0 * mu.beta)
-        for i in range(ci - reach, ci + reach + 1):
-            fx = (erf(s * ((i + 0.5) * r - mu.center.real))
-                  - erf(s * ((i - 0.5) * r - mu.center.real)))
-            for j in range(cj - reach, cj + reach + 1):
-                fy = (erf(s * ((j + 0.5) * r - mu.center.imag))
-                      - erf(s * ((j - 0.5) * r - mu.center.imag)))
-                indexed[(i, j)] = scale_2d * fx * fy
+        i, j, masses = _gaussian_cells(mu, r)
     else:
-        radius = support_radius_of(mu)
-        center = mu.center if isinstance(mu, Density) else 0j
-        reach = _budget_reach(np.floor(radius / r + 0.5) + 1.0, r)
-        ci, cj = _cell_index(center.real, center.imag, r)
-        x, w = np.polynomial.legendre.leggauss(_CELL_QUAD_NODES)
-        offset = 0.5 * r * x
-        cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
-        for i in range(ci - reach, ci + reach + 1):
-            for j in range(cj - reach, cj + reach + 1):
-                nodes = ((i * r + offset)[:, None]
-                         + 1j * (j * r + offset)[None, :]).ravel()
-                values = density_values(mu, nodes)
-                mass = complex_fsum(cell_w * values)
-                if mass != 0j:
-                    indexed[(i, j)] = mass
-    floor_mass = _CELL_DROP * total_variation(mu)
-    dropped = 0j
-    kept: dict[tuple[int, int], complex] = {}
-    for ij, weight in indexed.items():
-        if abs(weight) < floor_mass:
-            dropped += weight
-        else:
-            kept[ij] = weight
-    return LatticePartition(r, _ring_major(kept, r), dropped_mass=dropped)
+        i, j, masses = _quadrature_cells(mu, r)
+    dropped = np.abs(masses) < _CELL_DROP * total_variation(mu)
+    i, j, kept = i[~dropped], j[~dropped], masses[~dropped]
+    # ring-major: Chebyshev ring, then counterclockwise angle in [0, 2 pi)
+    angle = np.arctan2(j, i) % (2.0 * math.pi)
+    order = np.lexsort((j, i, angle, np.maximum(np.abs(i), np.abs(j))))
+    centers = np.empty(order.size, dtype=complex)
+    centers.real, centers.imag = i[order] * r, j[order] * r
+    return LatticePartition(r, tuple(zip(centers.tolist(),
+                                         kept[order].tolist())),
+                            dropped_mass=complex_fsum(masses[dropped]))
 
 
 def lattice_operator(part: LatticePartition, size: int,

@@ -11,18 +11,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaln
 
 from .errors import (FocklabError, GridExtentError, QuadratureError,
                      TruncationError)
 from .fock import FockParams
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, density_values, support_radius_of)
-from .numerics import (PolarGrid, complex_fsum, log_basis_coeff, polar_grid,
-                       tail_radius)
+from .numerics import PolarGrid, complex_fsum, polar_grid, tail_radius
 
 _TAIL_TOL = 1e-12
 _REFINE_TOL = 1e-8
+# basis samples one block of a point or cell pairing holds
+_PAIRING_CHUNK_BYTES = 4 * 2 ** 20
 
 
 def _freeze(entries: np.ndarray) -> np.ndarray:
@@ -68,22 +69,70 @@ class HankelMatrix:
         object.__setattr__(self, "entries", entries)
 
 
+def _log_peak_offsets(size: int) -> np.ndarray:
+    """s_k = log(k^k e^{-k} / k!) for k < size.
+
+    Past k = 15 it comes from Stirling's series, so that the nearly equal
+    terms k log k and log k! never cancel in floating point.
+    """
+    s = np.zeros(size)
+    small = np.arange(1.0, min(size, 16))
+    s[1:small.size + 1] = small * np.log(small) - small - gammaln(small + 1.0)
+    k = np.arange(16.0, size)
+    inv2 = 1.0 / (k * k)
+    stirling = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (
+        1.0 / 1260.0 - inv2 * (1.0 / 1680.0 - inv2 / 1188.0)))) / k
+    s[16:] = -0.5 * np.log(2.0 * math.pi * k) - stirling
+    return s
+
+
+def _unit_power(z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(z / |z|)^k by repeated squaring of z itself (1 at z = 0).
+
+    The input is exact, where the rounding of z / |z| or of arg z would be
+    multiplied k-fold.  Each square is first scaled by a power of two
+    (exact) to modulus in [1/2, 1), so no partial power overflows or
+    underflows whatever k is.
+    """
+    base = np.where(z == 0, 1.0, z)
+    power = np.ones_like(base)
+    k = k.copy()
+    while np.any(k):
+        base *= np.ldexp(1.0, -np.frexp(np.abs(base))[1])
+        np.multiply(power, base, out=power, where=(k & 1) == 1)
+        base *= base
+        k >>= 1
+    return power / np.abs(power)
+
+
 def basis_matrix(nodes, size: int, alpha: float) -> np.ndarray:
     """Weighted basis samples e_n(z_i) e^{-alpha |z_i|^2 / 2} as E[n, i].
 
-    Every entry has modulus at most 1 (the columns are coefficient vectors of
-    unit-norm normalized kernels), so the log-space assembly cannot overflow.
+    |E[n, i]|^2 is the Poisson weight x^n e^{-x} / n! with x = alpha|z_i|^2,
+    so column i peaks at k = min(N - 1, floor(x)).  That entry is seeded in
+    log space and the recurrence e_n = e_{n-1} z sqrt(alpha / n) runs up and
+    down from it.  Every step moves away from the peak, so no entry
+    overflows and none is computed from an underflowed value.
     """
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    n = np.arange(size)
-    with np.errstate(divide="ignore"):
-        log_t = np.log(np.abs(nodes))
-    theta = np.angle(nodes)
-    with np.errstate(invalid="ignore"):
-        radial = np.where(n[:, None] == 0, 0.0, n[:, None] * log_t[None, :])
-    log_mag = (log_basis_coeff(n, alpha)[:, None] + radial
-               - 0.5 * alpha * np.abs(nodes)[None, :] ** 2)
-    return np.exp(log_mag) * np.exp(1j * n[:, None] * theta[None, :])
+    z = np.asarray(nodes, dtype=complex).ravel()
+    with np.errstate(over="ignore"):
+        x = np.minimum(alpha * np.abs(z) ** 2, np.finfo(float).max)
+    k = np.minimum(size - 1, np.floor(x)).astype(int)
+    # k log x - x - log k!, regrouped so that no two large terms cancel
+    log_peak = 0.5 * (k * np.log1p((x - k) / np.maximum(k, 1)) + (k - x)
+                      + _log_peak_offsets(size)[k])
+    e = np.zeros((size, z.size), dtype=complex)
+    e[k, np.arange(z.size)] = np.exp(log_peak) * _unit_power(z, k)
+    below_peak = np.arange(size)[:, None] <= k
+    above_peak = ~below_peak
+    down = np.divide(1.0, z, out=np.zeros_like(z), where=z != 0)
+    for n in range(k.max(initial=0), 0, -1):
+        np.multiply(e[n], down * math.sqrt(n / alpha), out=e[n - 1],
+                    where=below_peak[n])
+    for n in range(k.min(initial=size) + 1, size):
+        np.multiply(e[n - 1], z * math.sqrt(alpha / n), out=e[n],
+                    where=above_peak[n])
+    return e
 
 
 def _quadrature_grid(size: int, params: FockParams,
@@ -108,10 +157,28 @@ def _pairing_matrix(nodes, c: np.ndarray, size: int, alpha: float,
 
     L is conj(E) for the sesquilinear (Toeplitz) pairing and E for the
     bilinear (Hankel) one; c holds point masses or lattice cell masses.
+    The sum runs over blocks of nodes whose basis samples take
+    _PAIRING_CHUNK_BYTES, so memory does not grow with the node count.
+    TruncationError when the mass-weighted basis tail past N reaches 1e-12:
+    the truncation cannot represent mass that far out.
     """
-    e = basis_matrix(nodes, size, alpha)
-    left = np.conj(e) if conjugate_output else e
-    return (alpha / math.pi) * (left @ (c[:, None] * e.T))
+    nodes = np.asarray(nodes, dtype=complex).ravel()
+    mass = np.abs(c)
+    total = math.fsum(mass)
+    if total > 0.0:
+        tail = float(mass @ basis_tail_mass(size, alpha, nodes)) / total
+        if tail >= _TAIL_TOL:
+            raise TruncationError(
+                f"kernel basis tail {tail:.3e}, weighted by mass over "
+                f"{nodes.size} points, exceeds {_TAIL_TOL:g} at truncation "
+                f"{size}; enlarge N or move the mass nearer the origin")
+    step = max(1, _PAIRING_CHUNK_BYTES // (16 * size))
+    entries = np.zeros((size, size), dtype=complex)
+    for start in range(0, nodes.size, step):
+        e = basis_matrix(nodes[start:start + step], size, alpha)
+        left = np.conj(e) if conjugate_output else e
+        entries += left @ (c[start:start + step, None] * e.T)
+    return (alpha / math.pi) * entries
 
 
 def _ring_bands(rho: np.ndarray, bilinear: bool = False):

@@ -196,12 +196,28 @@ class TestCellBudget:
 
     def test_widest_documented_gaussian_fits(self, tmp_path, capsys):
         # beta = 0.6 visits about 1.14e6 squares at r = 1/64, the smallest
-        # default side; truncation 8 keeps the run to a few hundred MB.
+        # default side; its mass-weighted basis tail (1/1.6)^N passes the
+        # truncation check from N = 59 on.
         config = write(tmp_path, "lattice.json", json.dumps({
-            "truncation": 8, "measure": {"type": "gaussian", "beta": 0.6}}))
+            "truncation": 64, "measure": {"type": "gaussian", "beta": 0.6}}))
         assert main(["lattice-approx", "--config", config]) == 0
         rows = json.loads(capsys.readouterr().out)["data"]["rows"]
         assert [row["r"] for row in rows] == [2.0 ** -n for n in range(7)]
+
+
+class TestPointMassTruncation:
+    """A mass the truncation cannot represent stops with exit 2."""
+
+    @pytest.mark.parametrize("subcommand",
+                             ["toeplitz", "hankel", "trace-check"])
+    def test_far_unit_mass_is_two(self, tmp_path, capsys, subcommand):
+        config = write(tmp_path, "far.json", json.dumps({
+            "truncation": 64, "measure": {"type": "point_masses",
+                                          "points": [{"x": 20, "y": 0}]}}))
+        assert main([subcommand, "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("TruncationError: kernel basis tail")
 
 
 class TestNodeBudget:
@@ -288,10 +304,10 @@ class TestRoundTrip:
     def test_json_hankel(self, tmp_path, capsys):
         config = write(tmp_path, "pm.json",
                        '{"truncation": 12, "measure": {"type": "point_masses",'
-                       ' "points": [{"x": 1.0, "y": 0.0}]}}')
+                       ' "points": [{"x": 0.5, "y": 0.0}]}}')
         assert main(["hankel", "--config", config]) == 0
         data = json.loads(capsys.readouterr().out)["data"]
-        h = build_hankel(PointMasses(((1.0, 1.0),)), 12, self.PARAMS)
+        h = build_hankel(PointMasses(((0.5, 1.0),)), 12, self.PARAMS)
         entries = np.array([[complex(re, im) for re, im in row]
                             for row in data["entries"]])
         assert np.array_equal(entries, h.entries)
@@ -299,7 +315,7 @@ class TestRoundTrip:
     def test_csv_bit_exact(self, tmp_path, capsys):
         config = write(tmp_path, "pm.json",
                        '{"truncation": 16, "measure": {"type": "point_masses",'
-                       ' "points": [{"x": 1, "y": 1, "w_re": 0.5}, '
+                       ' "points": [{"x": 0.5, "y": 0.5, "w_re": 0.5}, '
                        '{"x": 0, "y": 0, "w_re": 1}]}}')
         assert main(["toeplitz", "--config", config, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -309,7 +325,7 @@ class TestRoundTrip:
             m, n, re, im = line.split(",")
             entries[int(m), int(n)] = complex(float(re), float(im))
         assert len(lines) == 2 + 16 * 16
-        op = build_from_measure(PointMasses(((1 + 1j, 0.5), (0j, 1.0))), 16,
+        op = build_from_measure(PointMasses(((0.5 + 0.5j, 0.5), (0j, 1.0))), 16,
                                 self.PARAMS)
         assert np.array_equal(entries, op.entries)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import erf, gammaln
 
 from focklab.cli import main
 from focklab.errors import FocklabError, PositivityError
@@ -12,8 +12,10 @@ from focklab.lattice import (convergence_study, lattice_nuclear_bound,
                              lattice_operator, lattice_partition,
                              rigidity_experiment)
 from focklab.measure import (Density, GaussianDensity, PointMasses,
-                             berezin_measure, total_mass, total_variation,
+                             RadialDensity, berezin_measure, density_values,
+                             disk_cell_area, total_mass, total_variation,
                              uniform_disk)
+from focklab.numerics import complex_fsum
 from focklab.toeplitz import build_from_point_masses, schatten_norm, trace
 
 PARAMS = FockParams(alpha=1.0)
@@ -88,6 +90,116 @@ class TestPartition:
     def test_invalid_cell_size(self):
         with pytest.raises(ValueError):
             lattice_partition(delta(0j), 0.0)
+
+
+def scalar_partition(mu, r):
+    """Cell by cell, in Python scalars: the reference for lattice_partition.
+
+    Returns the ring-major ((i, j), mass) list of cells the drop threshold
+    keeps.
+    """
+    def index(x, y):
+        return math.floor(x / r + 0.5), math.floor(y / r + 0.5)
+
+    indexed = {}
+    if isinstance(mu, PointMasses):
+        for loc, weight in mu.points:
+            ij = index(loc.real, loc.imag)
+            indexed[ij] = indexed.get(ij, 0j) + weight
+    elif isinstance(mu, GaussianDensity):
+        s = math.sqrt(mu.beta)
+        reach = int(math.ceil(mu.effective_radius(1e-18) / r) + 1.0)
+        ci, cj = index(mu.center.real, mu.center.imag)
+        scale_2d = mu.amplitude * math.pi / (4.0 * mu.beta)
+        for i in range(ci - reach, ci + reach + 1):
+            fx = (erf(s * ((i + 0.5) * r - mu.center.real))
+                  - erf(s * ((i - 0.5) * r - mu.center.real)))
+            for j in range(cj - reach, cj + reach + 1):
+                fy = (erf(s * ((j + 0.5) * r - mu.center.imag))
+                      - erf(s * ((j - 0.5) * r - mu.center.imag)))
+                indexed[(i, j)] = scale_2d * fx * fy
+    elif isinstance(mu, Density):
+        reach = int(math.floor(mu.support_radius / r + 0.5) + 1.0)
+        ci, cj = index(mu.center.real, mu.center.imag)
+        x, w = np.polynomial.legendre.leggauss(8)
+        offset = 0.5 * r * x
+        cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
+        for i in range(ci - reach, ci + reach + 1):
+            for j in range(cj - reach, cj + reach + 1):
+                nodes = ((i * r + offset)[:, None]
+                         + 1j * (j * r + offset)[None, :]).ravel()
+                mass = complex_fsum(cell_w * density_values(mu, nodes))
+                if mass != 0j:
+                    indexed[(i, j)] = mass
+    else:
+        radius = mu.support_radius
+        reach = int(math.floor(radius / r + 0.5) + 1.0)
+        for i in range(-reach, reach + 1):
+            for j in range(-reach, reach + 1):
+                area = disk_cell_area((i - 0.5) * r, (i + 0.5) * r,
+                                      (j - 0.5) * r, (j + 0.5) * r, radius)
+                if area > 0.0:
+                    indexed[(i, j)] = mu.constant_value * area
+    floor_mass = 1e-15 * total_variation(mu)
+    kept = [(ij, w) for ij, w in indexed.items() if abs(w) >= floor_mass]
+
+    def ring_major(item):
+        (i, j), _ = item
+        return (max(abs(i), abs(j)), math.atan2(j, i) % (2.0 * math.pi), i, j)
+
+    return sorted(kept, key=ring_major)
+
+
+EQUIVALENCE_CORPUS = [
+    (uniform_disk(1.0, 1.0), 1.0 / 16.0),
+    (uniform_disk(1.7, 0.784), 1.0 / 64.0),
+    (uniform_disk(0.5 - 0.25j, 2.0), 0.3),
+    (uniform_disk(1.0, 1.0), 2.0),
+    (GaussianDensity(1.0, 4.0), 1.0 / 32.0),
+    (GaussianDensity(1.3, 0.8, center=0.37 - 1.21j), 0.25),
+    (GaussianDensity(0.5j, 6.0, center=-2.5 + 0.5j), 1.0 / 8.0),
+    (PointMasses(((0.1 + 0.1j, 1.0), (0.2, 2.0), (3.0, 0.5),
+                  (-0.5 - 0.5j, 0.25), (-1.3 + 0.7j, -1.0j),
+                  (0.26, 1e-20))), 0.5),
+    (Density(lambda w: np.cos(np.abs(w - 0.3)) + 0.2j * w.real, 1.2,
+             center=0.3), 0.25),
+]
+
+
+def disk_interior(centers, r, radius):
+    """Cells whose far corner lies inside the disk, with a rounding margin."""
+    far = np.hypot(np.abs(centers.real) + 0.5 * r,
+                   np.abs(centers.imag) + 0.5 * r)
+    return far < radius * (1.0 - 1e-12)
+
+
+class TestVectorisedPartition:
+    """lattice_partition against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("mu, r", EQUIVALENCE_CORPUS)
+    def test_same_cells_same_order(self, mu, r):
+        expected = scalar_partition(mu, r)
+        part = lattice_partition(mu, r)
+        centers = part.centers()
+        assert centers.tolist() == [complex(i * r, j * r)
+                                    for (i, j), _ in expected]
+        got = part.weights()
+        ref = np.array([w for _, w in expected])
+        tol = 1e-12 * np.abs(ref)
+        if isinstance(mu, RadialDensity):
+            # the scalar loop takes an interior cell's area from corner
+            # areas of order pi R^2 that cancel down to r^2
+            inside = disk_interior(centers, r, mu.support_radius)
+            tol[inside] = 1e-12 * total_variation(mu)
+        assert np.all(np.abs(got - ref) <= tol)
+
+    @pytest.mark.parametrize("radius, r", [(1.0, 1.0 / 16.0), (2.0, 0.3)])
+    def test_disk_interior_cells_exact(self, radius, r):
+        mu = uniform_disk(1.7, radius)
+        part = lattice_partition(mu, r)
+        inside = disk_interior(part.centers(), r, radius)
+        assert inside.sum() > 0
+        assert np.all(part.weights()[inside] == 1.7 * (r * r))
 
 
 class TestLatticeOperator:

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammainc, gammaln
 
 from focklab.errors import (FocklabError, GridExtentError, QuadratureError,
                             TruncationError)
+from focklab import toeplitz
 from focklab.fock import FockParams
+from focklab.lattice import lattice_operator, lattice_partition
 from focklab.measure import (Density, GaussianDensity, PointMasses,
                              RadialDensity, berezin_measure, density_values,
                              is_positive, total_mass, uniform_disk)
 from focklab.numerics import polar_grid
-from focklab.toeplitz import (HankelMatrix, TruncatedOperator,
+from focklab.toeplitz import (_TAIL_TOL, HankelMatrix, TruncatedOperator,
                               _pairing_matrix, _quadrature_grid,
                               _ring_pairing, _ring_transform,
                               adjoint_isometry_check, basis_matrix,
@@ -61,6 +65,21 @@ class TestPointMassBuilder:
         op = build_from_point_masses(delta(0j), 4, PARAMS)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_far_mass_past_truncation_refused(self, bilinear):
+        # unit mass at z = 20 keeps gammainc(64, 400) = 1 of its kernel
+        # past N = 64; the matrix would be zero to 1e-98
+        mu = PointMasses(((0j, 1e-6), (20.0, 1.0)))
+        build = build_hankel if bilinear else build_from_point_masses
+        with pytest.raises(TruncationError, match="kernel basis tail"):
+            build(mu, 64, PARAMS)
+
+    def test_far_mass_negligible_by_weight_passes(self):
+        # the tail counts each point by its share of the mass
+        mu = PointMasses(((0j, 1.0), (20.0, 1e-13)))
+        op = build_from_point_masses(mu, 64, PARAMS)
+        assert trace(op).real == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
 def radial(profile, support_radius=math.inf):
@@ -140,8 +159,8 @@ class TestHankelBuilder:
         assert np.max(np.abs(rest)) == 0.0
 
     def test_delta_one_closed_form(self):
-        h = build_hankel(delta(1.0), 12, PARAMS)
-        m, n = np.indices((12, 12))
+        h = build_hankel(delta(1.0), 16, PARAMS)
+        m, n = np.indices((16, 16))
         expected = np.exp(-1.0 - 0.5 * gammaln(m + 1.0)
                           - 0.5 * gammaln(n + 1.0)) / math.pi
         assert np.max(np.abs(h.entries - expected)) < 1e-14
@@ -220,7 +239,7 @@ class TestTrace:
             trace_via_berezin(op, grid=polar_grid(3.0, 64, 64))
 
     def test_truncation_monotonicity(self):
-        for mu in (delta(1.0), uniform_disk(1.0, 1.5), GaussianDensity(1.0, 0.5)):
+        for mu in (delta(0.25), uniform_disk(1.0, 1.5), GaussianDensity(1.0, 0.5)):
             assert is_positive(mu)
             bound = (PARAMS.alpha / math.pi) * total_mass(mu).real
             previous = 0.0
@@ -327,6 +346,14 @@ def dense_transform(entries, nodes):
     return np.sum(e * (entries @ np.conj(e)), axis=0)
 
 
+def dense_pairing(nodes, c, size, bilinear=False):
+    """(alpha/pi) sum_i c_i L[m, i] E[n, i] over all nodes at once."""
+    e = basis_matrix(nodes, size, PARAMS.alpha)
+    right = c[:, None] * e.T
+    left = e if bilinear else np.conj(e, out=e)
+    return (PARAMS.alpha / math.pi) * (left @ right)
+
+
 RING_SYMBOLS = [
     GaussianDensity(0.7, 1.3, center=1.1 - 0.4j),
     Density(lambda w: np.exp(-np.abs(w) ** 2) * (w.real - 0.3 * w.imag ** 2),
@@ -348,8 +375,7 @@ class TestRingPath:
             grid = polar_grid(7.0, size + 8, 2 * size - 5)
         c = grid.weights * density_values(mu, grid.nodes)
         for bilinear in (False, True):
-            dense = _pairing_matrix(grid.nodes, c, size, PARAMS.alpha,
-                                    conjugate_output=not bilinear)
+            dense = dense_pairing(grid.nodes, c, size, bilinear)
             ring = _ring_pairing(mu, grid, size, PARAMS.alpha, bilinear)
             assert np.max(np.abs(ring - dense)) < 1e-14
         entries = build_from_measure(mu, size, PARAMS).entries
@@ -369,3 +395,84 @@ class TestBasisMatrix:
     def test_origin_column(self):
         e = basis_matrix([0j], 8, 1.0)
         np.testing.assert_allclose(e[:, 0], np.eye(8)[:, 0])
+
+    def test_empty_nodes(self):
+        assert basis_matrix([], 8, 1.0).shape == (8, 0)
+
+
+def mp_basis(nodes, size, alpha):
+    """e_n(z) e^{-alpha |z|^2 / 2} at 50 digits, rounded to complex."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        out = np.empty((size, len(nodes)), dtype=complex)
+        for i, z in enumerate(nodes):
+            z = mpmath.mpc(z.real, z.imag)
+            weight = mpmath.exp(-a * abs(z) ** 2 / 2)
+            for n in range(size):
+                out[n, i] = complex(mpmath.sqrt(a ** n / mpmath.factorial(n))
+                                    * z ** n * weight)
+    return out
+
+
+class TestBasisRecurrence:
+    """The peak-seeded recurrence against an mpmath reference."""
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("alpha", [1.0, 1e4])
+    def test_matches_mpmath(self, size, alpha):
+        peak = math.sqrt(size / alpha)
+        nodes = np.array([
+            0j, peak * np.exp(0.3j), -peak * (1.0 - 1e-3) + 1e-4j,
+            0.5 * peak * np.exp(2.9j), 1.4 * peak * np.exp(-1.2j),
+            # past the underflow edge: alpha |z|^2 / 2 = 750 and 1100
+            math.sqrt(1500.0 / alpha) * np.exp(0.7j),
+            -1j * math.sqrt(2200.0 / alpha),
+        ])
+        e = basis_matrix(nodes, size, alpha)
+        ref = mp_basis(nodes, size, alpha)
+        assert np.max(np.abs(e - ref)) < 1e-14
+        assert not np.any((e == 0) & (np.abs(ref) > 1e-300))
+
+    def test_overflowing_modulus_gives_zero_column(self):
+        e = basis_matrix([1e200, 3e153j], 16, 1.0)
+        assert np.all(e == 0)
+
+
+class TestChunkedPairing:
+    """Blocks of nodes summed one at a time, against the one-block sum."""
+
+    @pytest.mark.parametrize("count", [0, 3, 10, 23])
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_chunk_boundaries(self, monkeypatch, count, bilinear):
+        # five nodes a block at N = 32
+        monkeypatch.setattr(toeplitz, "_PAIRING_CHUNK_BYTES", 16 * 32 * 5)
+        rng = np.random.default_rng(count)
+        nodes = 0.5 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+        c = rng.uniform(0.1, 1.0, count) + 0.3j * rng.normal(size=count)
+        got = _pairing_matrix(nodes, c, 32, PARAMS.alpha,
+                              conjugate_output=not bilinear)
+        ref = dense_pairing(nodes, c, 32, bilinear)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.linalg.norm(ref)
+
+    def test_lattice_memory_stays_bounded(self):
+        # about 1.1e5 cells: one unchunked basis matrix alone takes 110 MiB
+        part = lattice_partition(GaussianDensity(1.0, 3.0), 1.0 / 64.0)
+        assert len(part.cells) > 100_000
+        tracemalloc.start()
+        try:
+            op = lattice_operator(part, 64, PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+        ref = dense_pairing(part.centers(), part.weights(), 64)
+        assert np.max(np.abs(op.entries - ref)) <= 1e-15 * np.linalg.norm(ref)
+
+    def test_far_lattice_cells_with_negligible_mass_pass(self):
+        part = lattice_partition(GaussianDensity(1.0, 4.0), 0.25)
+        tails = gammainc(24, np.abs(part.centers()) ** 2)
+        assert tails.max() > _TAIL_TOL
+        op = lattice_operator(part, 24, PARAMS)
+        discretized = sum(w for _, w in part.cells)
+        assert trace(op).real == pytest.approx(discretized.real / math.pi,
+                                               rel=1e-12)
