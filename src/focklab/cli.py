@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .counterexample import CounterexampleParams, full_report
 from .errors import ConfigError, FocklabError
-from .fock import FockParams, default_degree, kernel_continuity_probe, norm_grid
+from .fock import FockParams, kernel_continuity_probe
 from .lattice import convergence_study, rigidity_experiment
 from .measure import (GaussianDensity, PointMasses, berezin_measure,
                       berezin_lr_norm, is_positive, support_radius_of,
@@ -540,11 +540,8 @@ def run_kernel_continuity(config: RunConfig, seed):
     angle = rng.uniform(0.0, 2.0 * math.pi)
     z0 = complex(math.cos(angle), math.sin(angle)) / math.sqrt(config.alpha)
     deltas = config.r_values
-    grid = config.polar()
-    if grid is None:
-        degree = default_degree(config.alpha, abs(z0) + max(deltas))
-        grid = norm_grid(params, degree)
-    distances = kernel_continuity_probe(z0, deltas, params.p, params, grid)
+    distances = kernel_continuity_probe(z0, deltas, params.p, params,
+                                        config.polar())
     scale = math.sqrt(config.alpha)
     data = {
         "z0_re": float(z0.real), "z0_im": float(z0.imag),
@@ -597,6 +594,14 @@ def run_subcommand(name: str, config: RunConfig, seed=None) -> tuple[dict,
     return report, text
 
 
+def _read_config(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="focklab",
@@ -615,11 +620,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as f:
-                config = parse_config(f.read())
-        else:
-            config = parse_config("{}")
+        config = parse_config(_read_config(args.config) if args.config
+                               else "{}")
         if args.truncation is not None:
             if args.truncation < 8:
                 raise ConfigError("truncation: must be at least 8")
@@ -629,13 +631,16 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.output_path = args.out
         report, text = run_subcommand(args.cmd, config, args.seed)
+        if config.output_path:
+            try:
+                with open(config.output_path, "w", encoding="utf-8") as f:
+                    f.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write report: {exc}")
     except FocklabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as f:
-            f.write(text)
     print(text, end="")
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]

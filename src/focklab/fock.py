@@ -12,9 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import GridExtentError
-from .numerics import (PolarGrid, log_basis_coeff, min_angular_nodes,
-                       node_count, polar_grid, tail_radius)
+from .errors import GridExtentError, ResourceError
+from .numerics import PolarGrid, log_basis_coeff, node_count, polar_grid
+
+# In u = sqrt(alpha)(w - c) a unit kernel's weighted modulus is e^{-|u|^2/2};
+# past |u| = 8.5 the widest integrand (p = 1) keeps e^{-36}, 2e-16 of its mass
+_KERNEL_MARGIN = 8.5
+# the continuity probe evaluates blocks of nodes, so it holds 16 bytes a node
+# besides its grid's 24; at about 0.3 us an evaluation (nodes x offsets) its
+# budget is about 15 s, and 2 GB at a single offset
+_PROBE_BLOCK = 1 << 13
+_PROBE_WORK_BUDGET = 5e7
 
 
 def conjugate_exponent(p: float) -> float:
@@ -49,49 +57,43 @@ class FockParams:
         object.__setattr__(self, "p", _check_exponent(self.p))
         object.__setattr__(self, "q", _check_exponent(self.q))
 
-    @property
-    def p_conjugate(self) -> float:
-        return conjugate_exponent(self.p)
-
-    @property
-    def q_conjugate(self) -> float:
-        return conjugate_exponent(self.q)
-
-
-def default_degree(alpha: float, max_radius: float) -> int:
-    """Degree past which the Taylor tail of a kernel centred within
-    max_radius is negligible; ``norm_grid`` sizes kernel grids by it."""
-    return max(64, node_count(4.0 * alpha * max_radius ** 2))
-
 
 def _boundary_decay_check(scaled_logs: np.ndarray, grid: PolarGrid,
                           nats: float = math.log(1e12)):
-    """Reject a grid whose outermost ring still carries integrand mass.
+    """Reject a grid whose outermost ring still carries integrand mass;
+    return the peak.
 
     ``scaled_logs`` are log magnitudes of the quantity being integrated (or
     maximized), in node order.  An all-zero integrand passes trivially.
     """
     peak = float(scaled_logs.max())
-    if peak == -math.inf:
-        return
     ring = float(scaled_logs[-grid.n_angular:].max())
-    if ring > peak - nats:
+    if peak > -math.inf and ring > peak - nats:
         raise GridExtentError(
             f"grid cutoff {grid.cutoff_radius:g} too small: boundary integrand "
             f"is within {peak - ring:.3g} nats of its peak")
+    return peak
 
 
-def norm_grid(params: FockParams, degree: int, radial_nodes: int | None = None,
-              angular_nodes: int | None = None) -> PolarGrid:
-    """Grid sized so weighted p-norms up to ``degree`` pass the tail check.
+def kernel_grid(alpha: float, separation: float) -> PolarGrid:
+    """Grid of offsets from the midpoint of two kernels ``separation`` apart.
 
-    The cutoff covers the widest integrand (p = 1, Gaussian e^{-alpha t^2/2}),
-    which dominates every other exponent for the same degree.
+    In u the kernels are unit Gaussians a = sqrt(alpha) separation / 2 from
+    the centre, so a grid of radius R = a + margin in u costs the same at
+    every alpha.  24 radial nodes per unit of u and 256 angles hold the p < 2
+    kink where the kernels cancel to about 1e-7 (p = 4/3); 2 a R angles sample
+    each kernel's phase e^{+-i a Im u} at the Nyquist rate out to radius R.
     """
-    radius = tail_radius(0.5 * params.alpha, degree, 1e-13)
-    return polar_grid(radius,
-                      radial_nodes or max(64, 2 * degree),
-                      angular_nodes or max(64, min_angular_nodes(degree)))
+    return polar_grid(*_kernel_grid_shape(alpha, separation))
+
+
+def _kernel_grid_shape(alpha: float, separation: float) -> tuple:
+    """Cutoff radius, radial and angular node counts of ``kernel_grid``."""
+    scale = math.sqrt(alpha)
+    half = 0.5 * scale * separation
+    radius = half + _KERNEL_MARGIN
+    return (radius / scale, node_count(24.0 * radius),
+            max(256, node_count(2.0 * half * radius)))
 
 
 def norm(weighted_logs: np.ndarray, p: float, params: FockParams,
@@ -106,15 +108,18 @@ def norm(weighted_logs: np.ndarray, p: float, params: FockParams,
     """
     p = _check_exponent(p)
     if p == math.inf:
-        _boundary_decay_check(weighted_logs, grid, nats=1e-9)
-        top = float(weighted_logs.max())
+        top = _boundary_decay_check(weighted_logs, grid, nats=1e-9)
         return 0.0 if top == -math.inf else math.exp(top)
-    _boundary_decay_check(p * weighted_logs, grid)
-    ref = float((p * weighted_logs).max())
+    scaled = p * weighted_logs
+    ref = _boundary_decay_check(scaled, grid)
     if ref == -math.inf:
         return 0.0
-    # integrate relative to the peak so norms survive far outside float range
-    total = math.fsum(grid.weights * np.exp(p * weighted_logs - ref))
+    # integrate relative to the peak so norms survive far outside float
+    # range; in place, so a large grid holds one temporary
+    scaled -= ref
+    np.exp(scaled, out=scaled)
+    scaled *= grid.weights
+    total = math.fsum(scaled)
     log_norm = (ref + math.log(p * params.alpha / (2.0 * math.pi) * total)) / p
     return math.exp(log_norm)
 
@@ -156,19 +161,43 @@ def kernel_distance_hilbert(z: complex, w: complex, alpha: float) -> float:
 
 
 def kernel_continuity_probe(z0: complex, deltas, p: float, params: FockParams,
-                            grid: PolarGrid) -> list:
+                            grid: PolarGrid | None = None) -> list:
     """Distances ||k_{z0 + delta} - k_{z0}|| in the weighted p-norm.
 
     ``deltas`` are real offsets applied along the real axis; the returned
     list decays to zero as the offsets do, witnessing norm-continuity of
-    the normalized kernel field.  The difference is taken node by node.
+    the normalized kernel field.  ``grid`` holds offsets g from each pair's
+    midpoint z0 + delta/2; by default ``kernel_grid`` sizes one for the
+    largest delta.  There the kernels' ratio is k_{z0+delta}/k_{z0} = e^x
+    with x = alpha delta (g + i Im z0), so the difference is the larger
+    kernel times |expm1(-|Re x| +- i Im x)|, which neither cancels at small
+    delta nor overflows at large x.  Evaluations (nodes x offsets) over the
+    work budget raise ResourceError before the default grid is built.
     """
-    base = weighted_kernel(z0, grid.nodes, params.alpha)
+    z0 = complex(z0)
+    deltas = [float(d) for d in deltas]
+    alpha = params.alpha
+    shape = (_kernel_grid_shape(alpha, max(deltas)) if grid is None
+             else (grid.cutoff_radius, grid.n_radial, grid.n_angular))
+    work = shape[1] * shape[2] * len(deltas)
+    if not work <= _PROBE_WORK_BUDGET:
+        raise ResourceError(
+            f"polar grid of {shape[1]} x {shape[2]} nodes at {len(deltas)} "
+            f"offsets needs {work:.3g} kernel evaluations, over the "
+            f"continuity probe's budget of {_PROBE_WORK_BUDGET:.3g}")
+    if grid is None:
+        grid = polar_grid(*shape)
+    logs = np.empty(grid.nodes.size)
     out = []
     for d in deltas:
-        shifted = weighted_kernel(complex(z0) + float(d), grid.nodes,
-                                  params.alpha)
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(shifted - base))
+        for start in range(0, logs.size, _PROBE_BLOCK):
+            g = grid.nodes[start:start + _PROBE_BLOCK]
+            x = alpha * d * (g + 1j * z0.imag)
+            # log of the larger kernel: -alpha |g -+ delta/2|^2 / 2
+            big = 0.5 * (np.abs(x.real) - alpha * (np.abs(g) ** 2
+                                                   + 0.25 * d * d))
+            with np.errstate(divide="ignore"):
+                logs[start:start + _PROBE_BLOCK] = big + np.log(np.abs(
+                    np.expm1(np.where(x.real > 0.0, -x, x))))
         out.append(norm(logs, p, params, grid))
     return out

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import FocklabError, ResourceError
-from .fock import FockParams, default_degree, norm, norm_grid
+from .fock import FockParams, conjugate_exponent, kernel_grid, norm
 from .measure import (Density, GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, berezin_lr_norm, density_values,
                       disk_cell_area, require_positive, support_radius_of,
@@ -246,26 +246,22 @@ def rigidity_experiment(mu: MeasureSymbol, pq_grid, params: FockParams,
     rep's nuclear bound; neither depends on (p, q).  What does vary is the
     quadrature residual of the unit-kernel-norm identity at the exponents in
     play, reported per row as evidence the bracket is exponent-independent.
+    On a grid laid about the kernel's centre c, log |k_c(w)| e^{-alpha|w|^2/2}
+    is -alpha |w - c|^2 / 2 at every node whatever c is, so one grid and one
+    norm per exponent serve every cell of the partition.
     """
     require_positive(mu, "nuclear-norm rigidity bracketing")
     part = lattice_partition(mu, r)
     upper = lattice_nuclear_bound(part, params)
     lower = (params.alpha / math.pi) * berezin_lr_norm(mu, 1.0, params)
-    probes = list(dict.fromkeys(
-        [c for c, _ in part.cells[:4]] + [c for c, _ in part.cells[-4:]]))
+    grid = kernel_grid(params.alpha, 0.0)
+    weighted_logs = -0.5 * params.alpha * np.abs(grid.nodes) ** 2
     rows = []
     for p, q in pq_grid:
         if not q <= p:
             raise FocklabError("rigidity grid expects q <= p")
-        run = FockParams(alpha=params.alpha, p=p, q=q)
-        residual = 0.0
-        for center in probes:
-            grid = norm_grid(run, default_degree(run.alpha, abs(center)))
-            # log |k_c(w)| e^{-alpha |w|^2 / 2} in closed form
-            weighted_logs = -0.5 * run.alpha * np.abs(grid.nodes - center) ** 2
-            for exponent in (run.p_conjugate, run.q):
-                residual = max(residual, abs(
-                    norm(weighted_logs, exponent, run, grid) - 1.0))
+        residual = max(abs(norm(weighted_logs, exponent, params, grid) - 1.0)
+                       for exponent in (conjugate_exponent(p), q))
         rows.append(RigidityRow(p=float(p), q=float(q), lower=lower,
                                 upper=upper, kernel_norm_residual=residual))
     within = upper <= lower * (1.0 + slack) + 1e-12

@@ -176,6 +176,56 @@ class TestExitCodes:
             "TruncationError: kernel basis tail")
 
 
+class TestFileErrors:
+    """Config and report files that cannot be read or written exit 2."""
+
+    def _assert_config_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ConfigError: ")
+        assert captured.err.count("\n") == 1
+
+    def test_missing_config(self, tmp_path, capsys):
+        self._assert_config_error(
+            capsys, ["rigidity", "--config", str(tmp_path / "none.json")])
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._assert_config_error(capsys,
+                                  ["rigidity", "--config", str(tmp_path)])
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"alpha": 1, "measure": null, "x": "\u00e9"}'
+                         .encode("latin-1"))
+        self._assert_config_error(capsys, ["rigidity", "--config", str(path)])
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        self._assert_config_error(
+            capsys, ["counterexample", "--out",
+                     str(tmp_path / "missing" / "report.json")])
+
+
+class TestKernelGrids:
+    """Kernel-norm grids are laid about the kernels, so their cost does not
+    grow with alpha for a fixed sqrt(alpha) * offset."""
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("kernel-continuity", {"alpha": 1000}),
+        ("rigidity", {"alpha": 256, "measure": {"type": "uniform_disk",
+                                                "radius": 1.0}}),
+        ("rigidity", {"alpha": 1000, "measure": {
+            "type": "point_masses", "points": [{"x": 0, "y": 0},
+                                               {"x": 1, "y": 0}]}}),
+    ])
+    def test_large_alpha_answers(self, tmp_path, capsys, subcommand, config):
+        path = write(tmp_path, "large.json", json.dumps(config))
+        start = time.monotonic()
+        assert main([subcommand, "--config", path]) == 0
+        assert time.monotonic() - start < 10.0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 class TestCellBudget:
     """Lattice sides too small for the symbol stop before enumerating."""
 
@@ -224,6 +274,8 @@ class TestNodeBudget:
     """Quadrature grids too large for memory stop before leggauss runs."""
 
     @pytest.mark.parametrize("subcommand, alpha", [
+        # 7.8e7 nodes pass the node budget; 7 offsets exceed the probe's
+        ("kernel-continuity", 5e4),
         ("kernel-continuity", 1e6),
         ("berezin", 1e300),
         ("kernel-continuity", 1e300),

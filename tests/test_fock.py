@@ -4,12 +4,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from focklab.errors import GridExtentError
+from focklab import fock
+from focklab.errors import GridExtentError, ResourceError
 from focklab.fock import (FockParams, basis_norm_exact, conjugate_exponent,
-                          default_degree, kernel_continuity_probe,
-                          kernel_distance_hilbert, norm, norm_grid,
-                          weighted_kernel)
-from focklab.numerics import integrate_plane, log_basis_coeff, polar_grid
+                          kernel_continuity_probe, kernel_distance_hilbert,
+                          kernel_grid, norm, weighted_kernel)
+from focklab.numerics import (integrate_plane, log_basis_coeff, polar_grid,
+                              tail_radius)
+
+
+def poly_grid(params, degree):
+    """Origin-centred grid on which weighted p-norms of polynomials up to
+    ``degree`` pass the tail check; the cutoff covers the widest integrand,
+    p = 1 (t^degree e^{-alpha t^2/2})."""
+    radius = tail_radius(0.5 * params.alpha, degree, 1e-13)
+    return polar_grid(radius, max(64, 2 * degree), max(64, 2 * degree + 2))
 
 
 def monomial_logs(n, params, grid):
@@ -27,9 +36,9 @@ def polynomial_logs(coeffs, params, grid):
                 - 0.5 * params.alpha * np.abs(grid.nodes) ** 2)
 
 
-def kernel_logs(z, params, grid):
-    """log|k_z(w)| - alpha|w|^2/2 = -alpha|w - z|^2/2 at the grid nodes."""
-    return -0.5 * params.alpha * np.abs(grid.nodes - z) ** 2
+def kernel_logs(z, params, nodes):
+    """log|k_z(w)| - alpha|w|^2/2 = -alpha|w - z|^2/2 at the nodes."""
+    return -0.5 * params.alpha * np.abs(nodes - z) ** 2
 
 
 class TestParams:
@@ -46,8 +55,7 @@ class TestParams:
         with pytest.raises(ValueError):
             FockParams(alpha=1.0, p=0.5)
         params = FockParams(alpha=2.0, p=1.0, q=math.inf)
-        assert params.p_conjugate == math.inf
-        assert params.q_conjugate == 1.0
+        assert (params.p, params.q) == (1.0, math.inf)
 
 
 class TestKernel:
@@ -79,10 +87,6 @@ class TestKernel:
             rhs = np.conj(complex(weighted_kernel(w, z, 1.0)))
             assert lhs == pytest.approx(rhs, rel=1e-14)
 
-    def test_default_degree_floor(self):
-        assert default_degree(1.0, 1.0) == 64
-        assert default_degree(2.0, 5.0) == 200
-
 
 class TestNormalizedKernel:
 
@@ -93,9 +97,10 @@ class TestNormalizedKernel:
 
     def test_unit_hilbert_norm(self):
         params = FockParams(alpha=1.0)
-        grid = norm_grid(params, 40)
         for z in (0j, 1.0, 1 + 2j):
-            assert norm(kernel_logs(z, params, grid), 2.0, params,
+            # the kernel sits |z| off the centre, as in the continuity probe
+            grid = kernel_grid(params.alpha, 2.0 * abs(z))
+            assert norm(kernel_logs(z, params, grid.nodes), 2.0, params,
                         grid) == pytest.approx(1.0, rel=1e-10)
 
 
@@ -104,7 +109,7 @@ class TestNorm:
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 4.0])
     def test_monomial_closed_form(self, p):
         params = FockParams(alpha=1.5)
-        grid = norm_grid(params, 16)
+        grid = poly_grid(params, 16)
         for n in (0, 1, 2, 5, 8):
             assert norm(monomial_logs(n, params, grid), p, params,
                         grid) == pytest.approx(
@@ -113,14 +118,23 @@ class TestNorm:
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 4.0])
     def test_kernel_norm_is_one(self, p):
         params = FockParams(alpha=1.0)
-        grid = norm_grid(params, 40)
         for z in (0j, 1.0, 1 + 2j):
-            assert norm(kernel_logs(z, params, grid), p, params,
+            grid = kernel_grid(params.alpha, 2.0 * abs(z))
+            assert norm(kernel_logs(z, params, grid.nodes), p, params,
                         grid) == pytest.approx(1.0, rel=1e-9)
+
+    def test_logs_left_unchanged(self):
+        params = FockParams(alpha=1.0)
+        grid = kernel_grid(params.alpha, 0.0)
+        logs = kernel_logs(0j, params, grid.nodes)
+        kept = logs.copy()
+        for p in (1.0, 3.0):
+            norm(logs, p, params, grid)
+            assert np.array_equal(logs, kept)
 
     def test_zero_iff_zero_function(self):
         params = FockParams(alpha=1.0)
-        grid = norm_grid(params, 8)
+        grid = poly_grid(params, 8)
         assert norm(polynomial_logs([0.0] * 5, params, grid), 2.0, params,
                     grid) == 0.0
         tiny = polynomial_logs([1e-280], params, grid)
@@ -134,7 +148,7 @@ class TestNorm:
 
     def test_sup_norm_is_lower_bound(self):
         params = FockParams(alpha=1.0)
-        grid = norm_grid(params, 12)
+        grid = poly_grid(params, 12)
         rng = np.random.default_rng(7)
         for _ in range(20):
             deg = int(rng.integers(0, 13))
@@ -161,7 +175,7 @@ class TestReproducingProperty:
         # (alpha/pi) int f(w) conj(k_z(w)) e^{-alpha|w|^2} dA = f(z) e^{-alpha|z|^2/2}
         params = FockParams(alpha=alpha)
         rng = np.random.default_rng(11)
-        grid = norm_grid(params, 24)
+        grid = poly_grid(params, 24)
         weight = np.exp(-0.5 * alpha * np.abs(grid.nodes) ** 2)
         for _ in range(6):
             deg = int(rng.integers(0, 25))
@@ -183,8 +197,8 @@ class TestContinuityProbe:
 
     def test_probe_matches_hilbert_closed_form(self):
         params = FockParams(alpha=1.0)
-        grid = norm_grid(params, 40)
         deltas = [0.1, 0.05, 0.01]
+        grid = kernel_grid(params.alpha, deltas[0])
         out = kernel_continuity_probe(1.0, deltas, 2.0, params, grid)
         assert all(a > b for a, b in zip(out, out[1:]))
         for d, val in zip(deltas, out):
@@ -196,20 +210,20 @@ class TestContinuityProbe:
 
     def test_probe_other_exponents_decrease(self):
         params = FockParams(alpha=1.0)
-        grid = norm_grid(params, 40)
+        grid = kernel_grid(params.alpha, 0.2)
         out = kernel_continuity_probe(0.5, [0.2, 0.1, 0.02], 4.0 / 3.0, params,
                                       grid)
         assert all(a > b for a, b in zip(out, out[1:]))
         assert out[-1] < 0.05
 
-    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [1.0, 3.0, 1000.0])
     def test_matches_mpmath_reference(self, alpha):
         # ||k_{z1} - k_{z0}||_2 = sqrt(2 - 2 Re<k_{z1}, k_{z0}>) at 50 digits,
         # with <k_{z1}, k_{z0}> = exp(alpha (z1 conj(z0) - (|z1|^2 + |z0|^2) / 2))
         params = FockParams(alpha=alpha)
         z0 = complex(0.6, -0.8) / math.sqrt(alpha)
-        deltas = [2.0 ** -k for k in range(2, 9)]
-        grid = norm_grid(params, default_degree(alpha, abs(z0) + deltas[0]))
+        deltas = [2.0 ** -k for k in range(0, 9)]
+        grid = kernel_grid(alpha, deltas[0])
         out = kernel_continuity_probe(z0, deltas, 2.0, params, grid)
         with mpmath.workdps(50):
             a, c0 = mpmath.mpf(alpha), mpmath.mpc(z0.real, z0.imag)
@@ -219,3 +233,51 @@ class TestContinuityProbe:
                                           - (abs(c1) ** 2 + abs(c0) ** 2) / 2))
                 exact = mpmath.sqrt(2 - 2 * mpmath.re(pairing))
                 assert abs(val - exact) / exact < 2e-14, (d, val)
+
+    def test_blocks_and_default_grid(self, monkeypatch):
+        # 1000-node blocks (which do not divide the grid) and the default
+        # grid give the same distances to the bit
+        params = FockParams(alpha=3.0)
+        deltas = [0.5, 0.25, 0.125]
+        out = kernel_continuity_probe(0.3 - 0.2j, deltas, 1.0, params,
+                                      kernel_grid(params.alpha, deltas[0]))
+        monkeypatch.setattr(fock, "_PROBE_BLOCK", 1000)
+        assert kernel_continuity_probe(0.3 - 0.2j, deltas, 1.0,
+                                       params) == out
+
+    def test_work_budget(self, monkeypatch):
+        # nodes x offsets over the budget stop before a default grid is built
+        params = FockParams(alpha=1.0)
+        grid = kernel_grid(params.alpha, 1.0)
+        monkeypatch.setattr(fock, "_PROBE_WORK_BUDGET", 2 * grid.nodes.size)
+        assert len(kernel_continuity_probe(0.0, [1.0, 0.5], 2.0, params,
+                                           grid)) == 2
+
+        def refuse(*args):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(fock, "polar_grid", refuse)
+        for given in (grid, None):
+            with pytest.raises(ResourceError, match="continuity probe's"):
+                kernel_continuity_probe(0.0, [1.0, 0.5, 0.25], 2.0, params,
+                                        given)
+
+    def test_p43_against_kink_centred_quadrature(self):
+        # For p < 2, |k_{z0+d} - k_{z0}|^p has a kink at the difference's
+        # zero Re(z0) + d/2, off the midpoint the probe's grid is laid about.
+        # A second grid laid about that zero resolves it: 300 x 300 nodes
+        # agree with a 2000 x 2000 midpoint grid to 7e-12.  The bound is the
+        # error of the 128 x 130 origin-centred grid that polynomial-degree
+        # sizing gave this case, 6.34e-8.
+        p, params = 4.0 / 3.0, FockParams(alpha=1.0)
+        angle = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
+        z0 = complex(math.cos(angle), math.sin(angle))  # the CLI's default
+        deltas = [2.0 ** -k for k in range(7)]
+        out = kernel_continuity_probe(z0, deltas, p, params,
+                                      kernel_grid(params.alpha, deltas[0]))
+        reference = polar_grid(12.0, 300, 300)
+        for d, val in zip(deltas, out):
+            nodes = z0.real + 0.5 * d + reference.nodes
+            with np.errstate(divide="ignore"):
+                logs = np.log(np.abs(weighted_kernel(z0 + d, nodes, 1.0)
+                                     - weighted_kernel(z0, nodes, 1.0)))
+            assert abs(val - norm(logs, p, params, reference)) < 6.4e-8, d

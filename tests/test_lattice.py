@@ -7,7 +7,7 @@ from scipy.special import erf, gammaln
 
 from focklab.cli import main
 from focklab.errors import FocklabError, PositivityError
-from focklab.fock import FockParams, default_degree, norm, norm_grid
+from focklab.fock import FockParams, conjugate_exponent, kernel_grid, norm
 from focklab.lattice import (convergence_study, lattice_nuclear_bound,
                              lattice_operator, lattice_partition,
                              rigidity_experiment)
@@ -255,30 +255,31 @@ class TestRankOneRep:
         assert np.max(np.abs(op.entries - expected)) < 1e-14
 
 
-def kernel_logs(center, grid):
-    """log|k_c(w)| - alpha|w|^2/2 = -alpha|w - c|^2/2 at the grid nodes."""
-    return -0.5 * PARAMS.alpha * np.abs(grid.nodes - center) ** 2
+def kernel_logs(center):
+    """Grid laid about the origin and log|k_c(w)| - alpha|w|^2/2 =
+    -alpha|w - c|^2/2 on it, so the kernel sits off the grid's centre."""
+    grid = kernel_grid(PARAMS.alpha, 2.0 * abs(center))
+    return grid, -0.5 * PARAMS.alpha * np.abs(grid.nodes - center) ** 2
 
 
 class TestNuclearUpperBound:
 
     def test_single_normalized_kernel(self):
         # the unit cross norm that lets the bound skip quadrature
-        grid = norm_grid(PARAMS, default_degree(1.0, 1.0))
-        logs = kernel_logs(1.0, grid)
-        cross = (norm(logs, PARAMS.p_conjugate, PARAMS, grid)
+        grid, logs = kernel_logs(1.0)
+        cross = (norm(logs, conjugate_exponent(PARAMS.p), PARAMS, grid)
                  * norm(logs, PARAMS.q, PARAMS, grid))
         assert cross == pytest.approx(1.0, rel=1e-9)
 
     def test_two_kernels(self):
         # the bound equals the quadrature cross norms of the cell kernels
         part = lattice_partition(PointMasses(((0j, 1.0), (1.0, -2.0))), 1.0)
-        grid = norm_grid(PARAMS, default_degree(1.0, 1.0))
         summed = 0.0
         for center, weight in part.cells:
-            logs = kernel_logs(center, grid)
-            summed += abs(weight) * (norm(logs, PARAMS.p_conjugate, PARAMS, grid)
-                                     * norm(logs, PARAMS.q, PARAMS, grid))
+            grid, logs = kernel_logs(center)
+            summed += abs(weight) * (
+                norm(logs, conjugate_exponent(PARAMS.p), PARAMS, grid)
+                * norm(logs, PARAMS.q, PARAMS, grid))
         assert lattice_nuclear_bound(part, PARAMS) == pytest.approx(
             (PARAMS.alpha / math.pi) * summed, rel=1e-9)
 
@@ -390,6 +391,16 @@ class TestRigidity:
         report = rigidity_experiment(mu, [(2.0, 2.0)], PARAMS, r=0.25)
         assert report.upper == pytest.approx(3.0 / math.pi, rel=1e-14)
         assert report.lower == pytest.approx(3.0 / math.pi, rel=1e-7)
+
+    @pytest.mark.parametrize("alpha", [1.0, 64.0, 1e4])
+    def test_kernel_norm_residual_at_rounding(self, alpha):
+        # (p, q) pairs whose exponents p' and q are finite and span [1, 6]
+        pq_grid = [(1.2, 1.0), (4.0 / 3.0, 4.0 / 3.0), (2.0, 2.0),
+                   (4.0, 3.0), (6.0, 1.5), (6.0, 6.0)]
+        report = rigidity_experiment(delta(0.5 + 0.25j), pq_grid,
+                                     FockParams(alpha=alpha), r=0.5)
+        for row in report.rows:
+            assert row.kernel_norm_residual <= 1e-14, (row.p, row.q)
 
     def test_non_positive_rejected(self):
         with pytest.raises(PositivityError):
