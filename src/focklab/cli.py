@@ -21,13 +21,12 @@ import numpy as np
 
 from . import __version__
 from .counterexample import CounterexampleParams, full_report
-from .errors import ConfigError, FocklabError
+from .errors import ConfigError, FocklabError, NonFiniteError
 from .fock import FockParams, kernel_continuity_probe
 from .lattice import convergence_study, rigidity_experiment
 from .measure import (GaussianDensity, PointMasses, berezin_measure,
                       berezin_lr_norm, is_positive, support_radius_of,
                       total_mass, total_variation, uniform_disk)
-from .numerics import polar_grid
 from .toeplitz import (adjoint_isometry_check, build_from_measure,
                        build_hankel, identity_operator, schatten_norm,
                        singular_values, trace, trace_pairing,
@@ -141,7 +140,6 @@ class RunConfig:
 
     alpha: float
     truncation: int
-    grid: tuple | None
     measure: dict | None
     exponents: tuple
     r_values: tuple
@@ -153,11 +151,6 @@ class RunConfig:
         return {
             "alpha": self.alpha,
             "truncation": self.truncation,
-            "grid": None if self.grid is None else {
-                "cutoff_radius": self.grid[0],
-                "radial_nodes": self.grid[1],
-                "angular_nodes": self.grid[2],
-            },
             "measure": self.measure,
             "exponents": {"p": self.exponents[0], "q": self.exponents[1]},
             "r_values": list(self.r_values),
@@ -186,18 +179,21 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc))
 
-    def polar(self):
-        if self.grid is None:
-            return None
-        return polar_grid(self.grid[0], self.grid[1], self.grid[2])
-
     def require_measure(self):
         if self.measure is None:
             raise ConfigError("measure: required for this subcommand")
-        return build_measure(self.measure)
+        mu = build_measure(self.measure)
+        try:
+            scale = (self.alpha / math.pi) * total_variation(mu)
+        except OverflowError:  # fsum of point-mass weights
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ConfigError(f"measure: (alpha/pi)|mu|(C) of the "
+                              f"{self.measure['type']} measure overflows")
+        return mu
 
 
-_TOP_KEYS = {"alpha", "truncation", "grid", "measure", "exponents",
+_TOP_KEYS = {"alpha", "truncation", "measure", "exponents",
              "r_values", "tolerances", "output"}
 
 
@@ -217,27 +213,6 @@ def parse_config(text: str) -> RunConfig:
         _fail("truncation", "expected an integer")
     if truncation < 8:
         _fail("truncation", "must be at least 8")
-
-    grid = None
-    if top.get("grid") is not None:
-        gobj = _require_mapping(top["grid"], "grid")
-        _check_keys(gobj, "grid",
-                    {"cutoff_radius", "radial_nodes", "angular_nodes"})
-        for key in ("cutoff_radius", "radial_nodes", "angular_nodes"):
-            if key not in gobj:
-                _fail(_join("grid", key), "required")
-        cutoff = _positive_real(gobj["cutoff_radius"], "grid.cutoff_radius")
-        nodes = []
-        for key in ("radial_nodes", "angular_nodes"):
-            value = gobj[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                _fail(_join("grid", key), "expected an integer")
-            nodes.append(value)
-        try:
-            polar_grid(cutoff, nodes[0], nodes[1])
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}")
-        grid = (cutoff, nodes[0], nodes[1])
 
     measure = None
     if top.get("measure") is not None:
@@ -283,7 +258,7 @@ def parse_config(text: str) -> RunConfig:
         if output_path is not None and not isinstance(output_path, str):
             _fail("output.path", "expected a string")
 
-    return RunConfig(alpha, truncation, grid, measure, (p, q), r_values,
+    return RunConfig(alpha, truncation, measure, (p, q), r_values,
                      tolerances, output_format, output_path)
 
 
@@ -336,7 +311,7 @@ def run_berezin(config: RunConfig, seed):
     reach = support_radius_of(mu) + 2.0 / math.sqrt(config.alpha)
     sample_z = np.linspace(0.0, reach, 9)
     values = berezin_measure(mu, sample_z.astype(complex), params)
-    l1 = berezin_lr_norm(mu, 1.0, params, config.polar())
+    l1 = berezin_lr_norm(mu, 1.0, params)
     tv = total_variation(mu)
     data = {
         "samples": [{"z_re": float(z), "z_im": 0.0,
@@ -393,7 +368,7 @@ def run_trace_check(config: RunConfig, seed):
     op = build_from_measure(mu, config.truncation, params)
     tr = trace(op)
     expected = (config.alpha / math.pi) * total_mass(mu)
-    via_transform = trace_via_berezin(op, config.polar())
+    via_transform = trace_via_berezin(op)
     mass_residual = abs(tr - expected)
     transform_residual = abs(tr - via_transform) / (1.0 + abs(tr))
     data = {
@@ -416,7 +391,7 @@ def run_schatten(config: RunConfig, seed):
                             config.params())
     sigma = singular_values(op)
     s1, s1_adjoint = adjoint_isometry_check(op)
-    l1 = transform_l1_norm(op, config.polar())
+    l1 = transform_l1_norm(op)
     data = {
         "schatten_1": float(s1),
         "schatten_2": float(schatten_norm(op, 2.0)),
@@ -486,7 +461,7 @@ def run_trace_pairing(config: RunConfig, seed):
     mu = config.require_measure()
     params = config.params()
     op = identity_operator(config.truncation, params)
-    matrix_side, quadrature_side = trace_pairing(mu, op, config.polar())
+    matrix_side, quadrature_side = trace_pairing(mu, op)
     residual = abs(matrix_side - quadrature_side) / (1.0 + abs(matrix_side))
     data = {
         "matrix_re": float(matrix_side.real),
@@ -540,8 +515,7 @@ def run_kernel_continuity(config: RunConfig, seed):
     angle = rng.uniform(0.0, 2.0 * math.pi)
     z0 = complex(math.cos(angle), math.sin(angle)) / math.sqrt(config.alpha)
     deltas = config.r_values
-    distances = kernel_continuity_probe(z0, deltas, params.p, params,
-                                        config.polar())
+    distances = kernel_continuity_probe(z0, deltas, params.p, params)
     scale = math.sqrt(config.alpha)
     data = {
         "z0_re": float(z0.real), "z0_im": float(z0.imag),
@@ -574,10 +548,37 @@ SUBCOMMANDS = {
 }
 
 
+def _nonfinite_path(value):
+    """Path below ``value`` of its first NaN or infinite float, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ""
+    if isinstance(value, dict):
+        keyed = value.items()
+    elif isinstance(value, (list, tuple)):
+        keyed = enumerate(value)
+    else:
+        return None
+    for key, child in keyed:
+        found = _nonfinite_path(child)
+        if found is not None:
+            return (f"[{key}]" if isinstance(key, int) else f".{key}") + found
+    return None
+
+
 def run_subcommand(name: str, config: RunConfig, seed=None) -> tuple[dict,
                                                                      str]:
-    """Run one subcommand; returns (report dict, rendered text)."""
-    data, (header, rows), checks = SUBCOMMANDS[name](config, seed)
+    """Run one subcommand; returns (report dict, rendered text).
+
+    NonFiniteError when a reported float is NaN or infinite, which JSON
+    cannot hold.
+    """
+    # an overflow is refused below by the field it reaches, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        data, (header, rows), checks = SUBCOMMANDS[name](config, seed)
+    for part, value in (("data", data), ("checks", checks)):
+        path = _nonfinite_path(value)
+        if path is not None:
+            raise NonFiniteError(f"{part}{path}: not a finite float")
     report = {
         "subcommand": name,
         "version": __version__,

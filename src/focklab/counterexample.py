@@ -19,6 +19,9 @@ from .errors import FocklabError
 from .fock import conjugate_exponent
 
 _SQRT3 = math.sqrt(3.0)
+# log2 of the largest index: 2^1000 keeps n ln n and n |ln alpha| (gammaln
+# and the power logs) below 1e304, where 2^1024 itself would overflow
+_MAX_INDEX_LOG2 = 1000.0
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,10 @@ class CounterexampleParams:
             raise ValueError("term count must be nonnegative")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
+        if not 2.0 * self.terms / abs(self.exponent_gap) < _MAX_INDEX_LOG2:
+            raise ValueError(
+                f"the last index, 2^({2 * self.terms} / |1/q - 1/p|), is "
+                f"past 2^{_MAX_INDEX_LOG2:g}; move p and q further apart")
 
     @property
     def exponent_gap(self) -> float:

@@ -13,6 +13,10 @@ class TruncationError(FocklabError):
     """A requested truncation degree cannot represent the object."""
 
 
+class NonFiniteError(FocklabError):
+    """A reported quantity is NaN or infinite."""
+
+
 class GridExtentError(FocklabError):
     """A grid's cutoff radius is too small for the integrand."""
 

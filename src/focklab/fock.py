@@ -160,33 +160,31 @@ def kernel_distance_hilbert(z: complex, w: complex, alpha: float) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * float(np.real(ip))))
 
 
-def kernel_continuity_probe(z0: complex, deltas, p: float, params: FockParams,
-                            grid: PolarGrid | None = None) -> list:
+def kernel_continuity_probe(z0: complex, deltas, p: float,
+                            params: FockParams) -> list:
     """Distances ||k_{z0 + delta} - k_{z0}|| in the weighted p-norm.
 
     ``deltas`` are real offsets applied along the real axis; the returned
     list decays to zero as the offsets do, witnessing norm-continuity of
-    the normalized kernel field.  ``grid`` holds offsets g from each pair's
-    midpoint z0 + delta/2; by default ``kernel_grid`` sizes one for the
-    largest delta.  There the kernels' ratio is k_{z0+delta}/k_{z0} = e^x
-    with x = alpha delta (g + i Im z0), so the difference is the larger
+    the normalized kernel field.  ``kernel_grid`` lays one grid for the
+    largest delta, of offsets g from each pair's midpoint z0 + delta/2.
+    There the kernels' ratio is k_{z0+delta}/k_{z0} = e^x with
+    x = alpha delta (g + i Im z0), so the difference is the larger
     kernel times |expm1(-|Re x| +- i Im x)|, which neither cancels at small
     delta nor overflows at large x.  Evaluations (nodes x offsets) over the
-    work budget raise ResourceError before the default grid is built.
+    work budget raise ResourceError before the grid is built.
     """
     z0 = complex(z0)
     deltas = [float(d) for d in deltas]
     alpha = params.alpha
-    shape = (_kernel_grid_shape(alpha, max(deltas)) if grid is None
-             else (grid.cutoff_radius, grid.n_radial, grid.n_angular))
+    shape = _kernel_grid_shape(alpha, max(deltas))
     work = shape[1] * shape[2] * len(deltas)
     if not work <= _PROBE_WORK_BUDGET:
         raise ResourceError(
             f"polar grid of {shape[1]} x {shape[2]} nodes at {len(deltas)} "
             f"offsets needs {work:.3g} kernel evaluations, over the "
             f"continuity probe's budget of {_PROBE_WORK_BUDGET:.3g}")
-    if grid is None:
-        grid = polar_grid(*shape)
+    grid = polar_grid(*shape)
     logs = np.empty(grid.nodes.size)
     out = []
     for d in deltas:

@@ -276,9 +276,7 @@ def berezin_measure(mu: MeasureSymbol, z, params: FockParams):
 _PAD_NATS = 28.1  # e^{-28.1} < 1e-12, so the boundary check clears its budget
 
 
-def berezin_grid(mu: MeasureSymbol, params: FockParams,
-                 radial_nodes: int | None = None,
-                 angular_nodes: int | None = None) -> PolarGrid:
+def berezin_grid(mu: MeasureSymbol, params: FockParams) -> PolarGrid:
     """Grid over which the Berezin transform carries essentially all its mass.
 
     The cutoff pads the support by sqrt(28.1 / alpha), a shade over the
@@ -288,25 +286,19 @@ def berezin_grid(mu: MeasureSymbol, params: FockParams,
     alpha = params.alpha
     s = support_radius_of(mu)
     radius = s + math.sqrt(_PAD_NATS / alpha)
-    if radial_nodes is None:
-        radial_nodes = max(128, node_count(12.0 * radius * math.sqrt(alpha)))
-    if angular_nodes is None:
-        freq = node_count(2.0 * alpha * s * radius, math.floor) + 16
-        angular_nodes = max(128, min_angular_nodes(freq))
-    return polar_grid(radius, radial_nodes, angular_nodes)
+    radial_nodes = max(128, node_count(12.0 * radius * math.sqrt(alpha)))
+    freq = node_count(2.0 * alpha * s * radius, math.floor) + 16
+    return polar_grid(radius, radial_nodes, max(128, min_angular_nodes(freq)))
 
 
-def berezin_lr_norm(mu: MeasureSymbol, r: float, params: FockParams,
-                    grid: PolarGrid | None = None) -> float:
-    """L^r(dA) norm of the Berezin transform of mu.
+def berezin_lr_norm(mu: MeasureSymbol, r: float, params: FockParams) -> float:
+    """L^r(dA) norm of the Berezin transform of mu over ``berezin_grid``.
 
-    The default grid extends 5 / sqrt(alpha) beyond the support; a grid whose
-    boundary still sees the transform is rejected.  For r = inf the supremum
-    also probes the natural peak candidates (origin, atoms, centers), since
-    polar nodes never sit exactly there.
+    GridExtentError if the grid's boundary ring still sees the transform.
+    For r = inf the supremum also probes the natural peak candidates
+    (origin, atoms, centers), since polar nodes never sit exactly there.
     """
-    if grid is None:
-        grid = berezin_grid(mu, params)
+    grid = berezin_grid(mu, params)
     if isinstance(mu, RadialDensity):
         # a radial symbol has a radial transform, so one ray of samples
         # plus the exact angular factor replaces the full grid sweep

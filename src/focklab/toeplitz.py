@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammainc, gammaln
 
-from .errors import (FocklabError, GridExtentError, QuadratureError,
-                     TruncationError)
+from .errors import FocklabError, QuadratureError, TruncationError
 from .fock import FockParams
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, density_values, support_radius_of)
@@ -309,45 +308,34 @@ def trace(op) -> complex:
     return complex_fsum(np.diagonal(op.entries))
 
 
-def _covering_grid(op: TruncatedOperator,
-                   grid: PolarGrid | None) -> PolarGrid:
+def _covering_grid(op: TruncatedOperator) -> PolarGrid:
     """Grid extending past the support of every retained basis function.
 
-    The Gaussian-tail fraction of the top mode must stay below 1e-12, so that
-    truncating a plane integral of the transform to the grid loses nothing
-    the matrix can see.
+    Its cutoff puts Q(N + 1, alpha R^2) at 1e-13, and the top mode's
+    Gaussian tail Q(N, alpha R^2) lies below that, so truncating a plane
+    integral of the transform to the grid loses nothing the matrix can see.
     """
-    alpha = op.params.alpha
     size = op.truncation
-    if grid is None:
-        cutoff = tail_radius(alpha, 2 * size, 1e-13)
-        grid = polar_grid(cutoff, max(96, 2 * size), max(64, 2 * size))
-    rim = gammaincc(size, alpha * grid.cutoff_radius ** 2)
-    if rim > _TAIL_TOL:
-        raise GridExtentError(
-            f"grid radius {grid.cutoff_radius:.3g} leaves basis mass "
-            f"{rim:.3e} outside; extend the grid for truncation {size}")
-    return grid
+    cutoff = tail_radius(op.params.alpha, 2 * size, 1e-13)
+    return polar_grid(cutoff, max(96, 2 * size), max(64, 2 * size))
 
 
-def trace_via_berezin(op: TruncatedOperator,
-                      grid: PolarGrid | None = None) -> complex:
+def trace_via_berezin(op: TruncatedOperator) -> complex:
     """Trace recovered as the plane integral of the Berezin transform."""
-    grid = _covering_grid(op, grid)
+    grid = _covering_grid(op)
     alpha = op.params.alpha
     weighted = grid.weights * _ring_transform(op.entries, grid, alpha)
     return (alpha / math.pi) * complex_fsum(weighted)
 
 
-def transform_l1_norm(op: TruncatedOperator,
-                      grid: PolarGrid | None = None) -> float:
+def transform_l1_norm(op: TruncatedOperator) -> float:
     """Plane integral of |transform|, scaled by alpha/pi.
 
     For any trace-class operator this lies below the Schatten 1-norm; no
     pointwise truncation-tail check applies because the integrand is the
     truncated operator's own transform.
     """
-    grid = _covering_grid(op, grid)
+    grid = _covering_grid(op)
     alpha = op.params.alpha
     samples = _ring_transform(op.entries, grid, alpha)
     return (alpha / math.pi) * math.fsum(grid.weights * np.abs(samples))
@@ -385,8 +373,7 @@ def adjoint_isometry_check(op: TruncatedOperator) -> tuple[float, float]:
     return schatten_norm(op, 1.0), schatten_norm(adj, 1.0)
 
 
-def trace_pairing(phi, op: TruncatedOperator,
-                  grid: PolarGrid | None = None) -> tuple[complex, complex]:
+def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
     """Trace of T_phi . S two ways: matrix trace and Berezin-transform integral.
 
     phi must be a compactly supported density variant; the operator's Berezin
@@ -402,8 +389,7 @@ def trace_pairing(phi, op: TruncatedOperator,
     left = build_from_measure(phi, size, params)
     product = left.entries @ op.entries
     matrix_side = complex_fsum(np.diagonal(product))
-    if grid is None:
-        grid = _quadrature_grid(size, params, support)
+    grid = _quadrature_grid(size, params, support)
     tail = basis_tail_mass(size, params.alpha, grid.cutoff_radius)
     if tail >= _TAIL_TOL:
         raise TruncationError(

@@ -25,13 +25,30 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"report holds {name}, which is not valid JSON")
+
+
+def parse_report(text):
+    """Parse a CLI report, refusing the NaN and Infinity that json.loads
+    would otherwise accept."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def assert_exit_two(capsys, argv, prefix):
+    """The run exits 2, writes nothing on stdout and names its error."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix), captured.err
+
+
 class TestParseConfig:
 
     def test_minimal_fills_defaults(self):
         config = parse_config(MINIMAL)
         assert config.alpha == 1.0
         assert config.truncation == 64
-        assert config.grid is None
         assert config.exponents == (4.0 / 3.0, 4.0)
         assert config.r_values == tuple(2.0 ** -n for n in range(7))
         assert config.output_format == "json"
@@ -42,9 +59,8 @@ class TestParseConfig:
             parse_config('{"alpah": 1}')
 
     def test_unknown_nested_key_dotted_path(self):
-        with pytest.raises(ConfigError, match=r"grid\.radial"):
-            parse_config('{"grid": {"cutoff_radius": 4, "radial": 10, '
-                         '"radial_nodes": 32, "angular_nodes": 32}}')
+        with pytest.raises(ConfigError, match=r"exponents\.r\b"):
+            parse_config('{"exponents": {"p": 1.5, "r": 2}}')
 
     def test_unknown_point_key(self):
         with pytest.raises(ConfigError, match=r"measure\.points\[0\]\.z"):
@@ -111,7 +127,7 @@ class TestDeterminism:
         capsys.readouterr()
         bytes_a = (tmp_path / "a.json").read_bytes()
         assert bytes_a == (tmp_path / "b.json").read_bytes()
-        report = json.loads(bytes_a)
+        report = parse_report(bytes_a)
         assert report["version"]
         assert len(report["config_sha256"]) == 64
         assert "timestamp" not in report
@@ -129,7 +145,7 @@ class TestExitCodes:
     def test_pass_is_zero(self, tmp_path, capsys):
         config = write(tmp_path, "g.json", GAUSS)
         assert main(["trace-check", "--config", config]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["data"]["mass_residual"] < 1e-9
 
@@ -141,7 +157,7 @@ class TestExitCodes:
         out = str(tmp_path / "r.json")
         assert main(["trace-check", "--config", config, "--out", out]) == 1
         capsys.readouterr()
-        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        report = parse_report((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert report["passed"] is False
         flagged = [c for c in report["checks"] if not c["passed"]]
         assert [c["name"] for c in flagged] == ["trace"]
@@ -223,7 +239,7 @@ class TestKernelGrids:
         start = time.monotonic()
         assert main([subcommand, "--config", path]) == 0
         assert time.monotonic() - start < 10.0
-        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert parse_report(capsys.readouterr().out)["passed"] is True
 
 
 class TestCellBudget:
@@ -251,7 +267,7 @@ class TestCellBudget:
         config = write(tmp_path, "lattice.json", json.dumps({
             "truncation": 64, "measure": {"type": "gaussian", "beta": 0.6}}))
         assert main(["lattice-approx", "--config", config]) == 0
-        rows = json.loads(capsys.readouterr().out)["data"]["rows"]
+        rows = parse_report(capsys.readouterr().out)["data"]["rows"]
         assert [row["r"] for row in rows] == [2.0 ** -n for n in range(7)]
 
 
@@ -310,6 +326,58 @@ class TestTransformBudget:
         assert captured.err.startswith("ResourceError: Berezin transform")
 
 
+class TestRefusedConfigs:
+    """Configs that once ended in a traceback or a NaN report exit 2."""
+
+    @pytest.mark.parametrize("config", [
+        # built 20,000 Gauss-Legendre nodes, 2.98 GiB, while parsing
+        {"grid": {"cutoff_radius": 5, "radial_nodes": 20000,
+                  "angular_nodes": 4}},
+        # wrote NaN distances: alpha x offset x node overflowed
+        {"alpha": 1e308, "grid": {"cutoff_radius": 5, "radial_nodes": 64,
+                                  "angular_nodes": 64}},
+    ])
+    def test_grid_is_unknown(self, tmp_path, capsys, config):
+        path = write(tmp_path, "grid.json", json.dumps(config))
+        assert_exit_two(capsys, ["kernel-continuity", "--config", path],
+                        "ConfigError: grid: unknown key")
+
+    def test_close_counterexample_exponents(self, tmp_path, capsys):
+        path = write(tmp_path, "close.json",
+                     '{"exponents": {"p": 1.5, "q": 1.52}}')
+        assert_exit_two(capsys, ["counterexample", "--config", path],
+                        "ConfigError: exponents: the last index")
+
+    @pytest.mark.parametrize("subcommand", ["toeplitz", "trace-check",
+                                            "lattice-approx", "rigidity"])
+    def test_point_masses_overflowing_fsum(self, tmp_path, capsys,
+                                           subcommand):
+        path = write(tmp_path, "heavy.json", json.dumps({
+            "measure": {"type": "point_masses",
+                        "points": [{"x": 0, "y": 0, "w_re": 1e308},
+                                   {"x": 0.5, "y": 0, "w_re": 1e308}]}}))
+        assert_exit_two(capsys, [subcommand, "--config", path],
+                        "ConfigError: measure: (alpha/pi)|mu|(C) of the "
+                        "point_masses measure overflows")
+
+    def test_disk_amplitude_overflowing(self, tmp_path, capsys):
+        # used to write a report with 10 NaN lines
+        path = write(tmp_path, "disk.json", json.dumps({
+            "measure": {"type": "uniform_disk", "radius": 1.0,
+                        "amplitude": 1e308}}))
+        assert_exit_two(capsys, ["trace-check", "--config", path],
+                        "ConfigError: measure: (alpha/pi)|mu|(C) of the "
+                        "uniform_disk measure overflows")
+
+    def test_nonfinite_report_value_named(self, tmp_path, capsys):
+        # sigma^2 = (1e200 / pi)^2 overflows in the Schatten 2-norm
+        path = write(tmp_path, "mass.json", json.dumps({
+            "measure": {"type": "point_masses",
+                        "points": [{"x": 0, "y": 0, "w_re": 1e200}]}}))
+        assert_exit_two(capsys, ["schatten", "--config", path],
+                        "NonFiniteError: data.schatten_2: not a finite float")
+
+
 class TestCsvOutput:
 
     def test_csv_embeds_version_and_hash(self, tmp_path, capsys):
@@ -344,7 +412,7 @@ class TestRoundTrip:
                        '{"truncation": 24, "measure": {"type": "gaussian", '
                        '"beta": 2.0, "x": 0.0, "y": 0.3}}')
         assert main(["toeplitz", "--config", config]) == 0
-        data = json.loads(capsys.readouterr().out)["data"]
+        data = parse_report(capsys.readouterr().out)["data"]
         op = build_from_measure(GaussianDensity(1.0, 2.0, center=0.3j), 24,
                                 self.PARAMS)
         entries = np.array([[complex(re, im) for re, im in row]
@@ -358,7 +426,7 @@ class TestRoundTrip:
                        '{"truncation": 12, "measure": {"type": "point_masses",'
                        ' "points": [{"x": 0.5, "y": 0.0}]}}')
         assert main(["hankel", "--config", config]) == 0
-        data = json.loads(capsys.readouterr().out)["data"]
+        data = parse_report(capsys.readouterr().out)["data"]
         h = build_hankel(PointMasses(((0.5, 1.0),)), 12, self.PARAMS)
         entries = np.array([[complex(re, im) for re, im in row]
                             for row in data["entries"]])
@@ -386,7 +454,7 @@ class TestSubcommands:
 
     def test_counterexample_defaults(self, capsys):
         assert main(["counterexample"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["data"]["indices"] == [16 ** k for k in range(1, 9)]
         assert report["data"]["divergence_ratios"][0] == pytest.approx(
             1.805, abs=1e-12)
@@ -396,15 +464,15 @@ class TestSubcommands:
         config = write(tmp_path, "pm.json", MINIMAL)
         assert main(["toeplitz", "--config", config,
                      "--truncation", "16"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["data"]["truncation"] == 16
         assert len(report["data"]["entries"]) == 16
 
     def test_seed_changes_probe_point(self, capsys):
         assert main(["kernel-continuity"]) == 0
-        base = json.loads(capsys.readouterr().out)
+        base = parse_report(capsys.readouterr().out)
         assert main(["kernel-continuity", "--seed", "7"]) == 0
-        other = json.loads(capsys.readouterr().out)
+        other = parse_report(capsys.readouterr().out)
         assert base["seed"] is None and other["seed"] == 7
         assert (base["data"]["z0_re"], base["data"]["z0_im"]) != \
             (other["data"]["z0_re"], other["data"]["z0_im"])
@@ -413,7 +481,7 @@ class TestSubcommands:
     def test_rigidity_point_mass_bracket(self, tmp_path, capsys):
         config = write(tmp_path, "pm.json", MINIMAL)
         assert main(["rigidity", "--config", config]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["data"]["within_slack"] is True
         row = report["data"]["rows"][0]
         assert row["q"] <= row["p"]
@@ -424,14 +492,14 @@ class TestSubcommands:
             '{"measure": {"type": "uniform_disk", "radius": 1.0}, '
             '"r_values": [1.0, 0.5, 0.25]}')
         assert main(["lattice-approx", "--config", config]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         errors = [row["s1_error"] for row in report["data"]["rows"]]
         assert errors == sorted(errors, reverse=True)
 
     def test_schatten_identity_bounds(self, tmp_path, capsys):
         config = write(tmp_path, "g.json", GAUSS)
         assert main(["schatten", "--config", config]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         data = report["data"]
         assert data["transform_l1"] <= data["schatten_1"] + 1e-8
         assert len(data["singular_values"]) == 64

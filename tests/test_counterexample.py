@@ -53,6 +53,19 @@ class TestParams:
         with pytest.raises(ValueError):
             CounterexampleParams(terms=-1)
 
+    def test_last_index_stays_in_float_range(self):
+        # the k-th index is about 2^(2k / |gap|); 16 / |gap| = 1824 here
+        with pytest.raises(ValueError, match="further apart"):
+            CounterexampleParams(p=1.5, q=1.52)
+        # just inside the cap every reported number is finite at any alpha
+        q = 1.0 / (1.0 / 1.5 - 16.0 / 999.0)
+        for alpha in (1e-300, 1.0, 1e300):
+            report = full_report(CounterexampleParams(p=1.5, q=q, alpha=alpha))
+            for key, value in report.items():
+                values = value if isinstance(value, list) else [value]
+                assert all(math.isfinite(v) for v in values
+                           if isinstance(v, float)), (alpha, key)
+
 
 class TestIndices:
 

@@ -198,8 +198,7 @@ class TestContinuityProbe:
     def test_probe_matches_hilbert_closed_form(self):
         params = FockParams(alpha=1.0)
         deltas = [0.1, 0.05, 0.01]
-        grid = kernel_grid(params.alpha, deltas[0])
-        out = kernel_continuity_probe(1.0, deltas, 2.0, params, grid)
+        out = kernel_continuity_probe(1.0, deltas, 2.0, params)
         assert all(a > b for a, b in zip(out, out[1:]))
         for d, val in zip(deltas, out):
             expected = kernel_distance_hilbert(1.0 + d, 1.0, params.alpha)
@@ -210,9 +209,7 @@ class TestContinuityProbe:
 
     def test_probe_other_exponents_decrease(self):
         params = FockParams(alpha=1.0)
-        grid = kernel_grid(params.alpha, 0.2)
-        out = kernel_continuity_probe(0.5, [0.2, 0.1, 0.02], 4.0 / 3.0, params,
-                                      grid)
+        out = kernel_continuity_probe(0.5, [0.2, 0.1, 0.02], 4.0 / 3.0, params)
         assert all(a > b for a, b in zip(out, out[1:]))
         assert out[-1] < 0.05
 
@@ -223,8 +220,7 @@ class TestContinuityProbe:
         params = FockParams(alpha=alpha)
         z0 = complex(0.6, -0.8) / math.sqrt(alpha)
         deltas = [2.0 ** -k for k in range(0, 9)]
-        grid = kernel_grid(alpha, deltas[0])
-        out = kernel_continuity_probe(z0, deltas, 2.0, params, grid)
+        out = kernel_continuity_probe(z0, deltas, 2.0, params)
         with mpmath.workdps(50):
             a, c0 = mpmath.mpf(alpha), mpmath.mpc(z0.real, z0.imag)
             for d, val in zip(deltas, out):
@@ -236,30 +232,26 @@ class TestContinuityProbe:
 
     def test_blocks_and_default_grid(self, monkeypatch):
         # 1000-node blocks (which do not divide the grid) and the default
-        # grid give the same distances to the bit
+        # 8,192-node blocks give the same distances to the bit
         params = FockParams(alpha=3.0)
         deltas = [0.5, 0.25, 0.125]
-        out = kernel_continuity_probe(0.3 - 0.2j, deltas, 1.0, params,
-                                      kernel_grid(params.alpha, deltas[0]))
+        out = kernel_continuity_probe(0.3 - 0.2j, deltas, 1.0, params)
         monkeypatch.setattr(fock, "_PROBE_BLOCK", 1000)
         assert kernel_continuity_probe(0.3 - 0.2j, deltas, 1.0,
                                        params) == out
 
     def test_work_budget(self, monkeypatch):
-        # nodes x offsets over the budget stop before a default grid is built
+        # nodes x offsets over the budget stop before the grid is built
         params = FockParams(alpha=1.0)
-        grid = kernel_grid(params.alpha, 1.0)
-        monkeypatch.setattr(fock, "_PROBE_WORK_BUDGET", 2 * grid.nodes.size)
-        assert len(kernel_continuity_probe(0.0, [1.0, 0.5], 2.0, params,
-                                           grid)) == 2
+        nodes = kernel_grid(params.alpha, 1.0).nodes.size
+        monkeypatch.setattr(fock, "_PROBE_WORK_BUDGET", 2 * nodes)
+        assert len(kernel_continuity_probe(0.0, [1.0, 0.5], 2.0, params)) == 2
 
         def refuse(*args):
             raise AssertionError("grid built")
         monkeypatch.setattr(fock, "polar_grid", refuse)
-        for given in (grid, None):
-            with pytest.raises(ResourceError, match="continuity probe's"):
-                kernel_continuity_probe(0.0, [1.0, 0.5, 0.25], 2.0, params,
-                                        given)
+        with pytest.raises(ResourceError, match="continuity probe's"):
+            kernel_continuity_probe(0.0, [1.0, 0.5, 0.25], 2.0, params)
 
     def test_p43_against_kink_centred_quadrature(self):
         # For p < 2, |k_{z0+d} - k_{z0}|^p has a kink at the difference's
@@ -272,8 +264,7 @@ class TestContinuityProbe:
         angle = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
         z0 = complex(math.cos(angle), math.sin(angle))  # the CLI's default
         deltas = [2.0 ** -k for k in range(7)]
-        out = kernel_continuity_probe(z0, deltas, p, params,
-                                      kernel_grid(params.alpha, deltas[0]))
+        out = kernel_continuity_probe(z0, deltas, p, params)
         reference = polar_grid(12.0, 300, 300)
         for d, val in zip(deltas, out):
             nodes = z0.real + 0.5 * d + reference.nodes

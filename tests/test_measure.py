@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from focklab import measure
 from focklab.errors import FocklabError, GridExtentError, PositivityError
 from focklab.fock import FockParams
 from focklab.measure import (Density, GaussianDensity, PointMasses,
@@ -10,7 +11,6 @@ from focklab.measure import (Density, GaussianDensity, PointMasses,
                              berezin_lr_norm, berezin_measure, disk_cell_area,
                              is_positive, require_positive, support_radius_of,
                              total_mass, total_variation, uniform_disk)
-from focklab.numerics import polar_grid
 
 PARAMS = FockParams(alpha=1.0)
 
@@ -178,10 +178,11 @@ class TestBerezinLrNorm:
             rhs = berezin_lr_constant(PARAMS.alpha, r) * total_variation(mu)
             assert lhs <= rhs * (1.0 + 1e-10)
 
-    def test_small_grid_rejected(self):
-        grid = polar_grid(2.0, 64, 64)
+    def test_small_grid_rejected(self, monkeypatch):
+        # a pad of one nat leaves the boundary ring at e^{-1} of the peak
+        monkeypatch.setattr(measure, "_PAD_NATS", 1.0)
         with pytest.raises(GridExtentError):
-            berezin_lr_norm(delta(1.0), 1.0, PARAMS, grid=grid)
+            berezin_lr_norm(delta(1.0), 1.0, PARAMS)
 
 
 def square_kernel_integral(mu, z, params=PARAMS):

@@ -1,13 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
-from focklab.errors import (FocklabError, GridExtentError, QuadratureError,
-                            TruncationError)
+from focklab.errors import FocklabError, QuadratureError, TruncationError
 from focklab import toeplitz
 from focklab.fock import FockParams
 from focklab.lattice import lattice_operator, lattice_partition
@@ -233,10 +233,19 @@ class TestTrace:
             quad = trace_via_berezin(op)
             assert abs(direct - quad) <= 1e-7 * max(1e-30, abs(direct)), mu
 
-    def test_undersized_grid_rejected(self):
-        op = identity_operator(64, PARAMS)
-        with pytest.raises(GridExtentError):
-            trace_via_berezin(op, grid=polar_grid(3.0, 64, 64))
+    def test_covering_grid_holds_top_mode_tail(self, monkeypatch):
+        # the cutoff puts Q(N + 1, alpha R^2) at 1e-13, and the top mode's
+        # tail outside the grid, Q(N, alpha R^2), is smaller still; the stub
+        # hands back the cutoff, so no 8,192-node rule or N x N matrix is built
+        monkeypatch.setattr(toeplitz, "polar_grid",
+                            lambda cutoff, *nodes: cutoff)
+        for size in (8, 64, 128, 1024, 4096):
+            for alpha in (1e-6, 1.0, 1e6):
+                op = SimpleNamespace(truncation=size,
+                                     params=FockParams(alpha=alpha))
+                cutoff = toeplitz._covering_grid(op)
+                rim = gammaincc(size, alpha * cutoff ** 2)
+                assert rim <= 1.01e-13 < _TAIL_TOL, (size, alpha, rim)
 
     def test_truncation_monotonicity(self):
         for mu in (delta(0.25), uniform_disk(1.0, 1.5), GaussianDensity(1.0, 0.5)):
