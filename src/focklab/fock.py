@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import GridExtentError, ResourceError
 from .numerics import PolarGrid, log_basis_coeff, node_count, polar_grid
@@ -134,8 +133,8 @@ def basis_norm_exact(n: int, p: float, params: FockParams) -> float:
             0.5 * n * (math.log(n / alpha) - 1.0) if n > 0 else 0.0)
         return math.exp(log_peak)
     log_val = (math.log(p * alpha) + 0.5 * p * (n * math.log(alpha)
-                                                - float(gammaln(n + 1.0)))
-               + float(gammaln(0.5 * n * p + 1.0)) - math.log(2.0)
+                                                - math.lgamma(n + 1.0))
+               + math.lgamma(0.5 * n * p + 1.0) - math.log(2.0)
                - (0.5 * n * p + 1.0) * math.log(0.5 * p * alpha))
     return math.exp(log_val / p)
 

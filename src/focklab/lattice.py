@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+from numpy.polynomial.legendre import leggauss
 
 from .errors import FocklabError, ResourceError
 from .fock import FockParams, conjugate_exponent, kernel_grid, norm
@@ -20,7 +20,7 @@ from .measure import (Density, GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, berezin_lr_norm, density_values,
                       disk_cell_area, require_positive, support_radius_of,
                       total_variation)
-from .numerics import complex_fsum
+from .numerics import complex_fsum, erf
 from .toeplitz import (TruncatedOperator, _pairing_matrix, build_from_measure,
                        schatten_norm)
 
@@ -134,7 +134,7 @@ def _quadrature_cells(mu, r: float):
     center = mu.center if isinstance(mu, Density) else 0j
     reach = _budget_reach(np.floor(radius / r + 0.5) + 1.0, r)
     i, j = _block(*_cell_index(center.real, center.imag, r), reach)
-    x, w = np.polynomial.legendre.leggauss(_CELL_QUAD_NODES)
+    x, w = leggauss(_CELL_QUAD_NODES)
     offset = 0.5 * r * x
     cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
     masses = np.empty(i.size, dtype=complex)
@@ -189,8 +189,7 @@ def lattice_nuclear_bound(part: LatticePartition, params: FockParams) -> float:
     the rank-one cross norms collapse to the scaled summed cell masses; no
     quadrature enters.
     """
-    return (params.alpha / math.pi) * math.fsum(
-        abs(w) for _, w in part.cells)
+    return (params.alpha / math.pi) * math.fsum(np.abs(part.weights()))
 
 
 @dataclass(frozen=True)

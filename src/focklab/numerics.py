@@ -2,14 +2,19 @@
 
 Everything downstream (basis sampling, operator assembly, lacunary series)
 routes magnitude bookkeeping through log-scale values so that factorials and
-Gaussian weights never materialize as overflowing floats.
+Gaussian weights never materialize as overflowing floats.  The special
+functions are the few the toolkit needs, at the orders it needs them: ln Gamma
+and erf elementwise from ``math``, and the regularized incomplete gamma
+function at integer order as a Poisson sum.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln
+# numpy loads its polynomial package on first attribute access; importing it
+# here keeps that cost out of every report's compute time
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError, ResourceError
 
@@ -18,11 +23,33 @@ TWO_PI = 2.0 * math.pi
 # about 24 bytes a node; each budget is where that reaches 8 GB of RAM
 _RADIAL_BUDGET = 23_000
 _NODE_BUDGET = 3.5e8
+_FLOAT_MAX = float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
+# s_n = ln(n^n e^{-n} / n!) below n = 16, where Stirling's series is too short
+_SMALL_PEAK_OFFSETS = np.array(
+    [0.0] + [k * math.log(k) - k - math.lgamma(k + 1.0) for k in range(1, 16)])
 
 
 def complex_fsum(values) -> complex:
     """Correctly rounded sum of complex samples, real and imaginary parts apart."""
     return complex(math.fsum(values.real), math.fsum(values.imag))
+
+
+def _elementwise(f, x):
+    """f applied to every float of x; a float for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    out = np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def log_factorial(n):
+    """ln n! = ln Gamma(n + 1), elementwise."""
+    return _elementwise(lambda v: math.lgamma(v + 1.0), n)
+
+
+def erf(x):
+    """The error function, elementwise."""
+    return _elementwise(math.erf, x)
 
 
 def log_basis_coeff(n, alpha: float):
@@ -35,28 +62,159 @@ def log_basis_coeff(n, alpha: float):
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("basis index must be nonnegative")
-    out = 0.5 * (n * math.log(alpha) - gammaln(n + 1.0))
-    return float(out) if out.ndim == 0 else out
+    out = 0.5 * (n * math.log(alpha) - log_factorial(n))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def log_peak_offset(n):
+    """s_n = ln(n^n e^{-n} / n!) for integers n >= 0, elementwise.
+
+    Past n = 15 it comes from Stirling's series, so that the nearly equal
+    terms n ln n and ln n! never cancel in floating point.
+    """
+    n = np.asarray(n)
+    k = np.maximum(n, 16).astype(float)
+    inv2 = 1.0 / (k * k)
+    stirling = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (
+        1.0 / 1260.0 - inv2 * (1.0 / 1680.0 - inv2 / 1188.0)))) / k
+    return np.where(n < 16, _SMALL_PEAK_OFFSETS[np.minimum(n, 15)],
+                    -0.5 * np.log(TWO_PI * k) - stirling)
+
+
+def log_poisson(n, x):
+    """ln Pois(n; x) = ln(x^n e^{-x} / n!) for integers n >= 0 and x >= 0.
+
+    Regrouped as n ln(x/n) + (n - x) + s_n, so that no two large terms
+    cancel; ln(x/n) is taken as log1p((x - n)/n) from x = n/2 up, where
+    x - n is exact or nearly so.  Elementwise; -inf where x = 0 < n.
+    """
+    n = np.asarray(n)
+    x = np.asarray(x, dtype=float)
+    scale = np.maximum(n, 1)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(x < 0.5 * n, np.log(x / scale),
+                             np.log1p((x - n) / scale))
+    return n * log_ratio + (n - x) + log_peak_offset(n)
+
+
+def _outward_sum(x: np.ndarray, ratio) -> np.ndarray:
+    """1 + r_1 + r_1 r_2 + ... with r_j = ratio(j, x), elementwise.
+
+    Every ratio lies in [0, 1) and falls with j, so once a term is t the
+    rest sums below t r / (1 - r); each element stops when that is below
+    an ulp of its sum.  Terms are added in blocks of eight between those
+    tests, which keeps the per-call overhead of numpy off the inner loop.
+    """
+    total = np.ones_like(x)
+    live = np.arange(x.size)
+    term = np.ones(x.size)
+    j = 0
+    while live.size:
+        t, s = x[live], total[live]
+        for j in range(j + 1, j + 9):
+            r = ratio(j, t)
+            term *= r
+            s += term
+        total[live] = s
+        keep = term * r > _EPS * (1.0 - r) * s
+        live, term = live[keep], term[keep]
+    return total
+
+
+def regularized_gamma(a: int, x):
+    """(P(a, x), Q(a, x)) at integer order a >= 1, elementwise over x >= 0.
+
+    P(a, x) = sum_{n >= a} Pois(n; x) and Q = 1 - P = sum_{n < a} Pois(n; x).
+    The smaller of the two is summed outward from its largest term: P for
+    x < a, from Pois(a; x) up, and Q for x >= a, from Pois(a - 1; x) down.
+    Either tail so keeps its relative accuracy until it underflows.
+    """
+    x = np.minimum(np.asarray(x, dtype=float), _FLOAT_MAX)
+    lower = x < a
+    lead = np.exp(log_poisson(a - 1, x))  # Pois(a - 1; x)
+    small = np.empty_like(x)
+    t = x[lower]
+    small[lower] = (lead[lower] * (t / a)
+                    * _outward_sum(t, lambda j, t: t / (a + j)))
+    t = x[~lower]
+    small[~lower] = lead[~lower] * _outward_sum(t, lambda j, t: (a - j) / t)
+    return np.where(lower, small, 1.0 - small), np.where(lower, 1.0 - small,
+                                                         small)
+
+
+def _log_gamma_q(a: int, x: float, offset: float) -> tuple[float, float]:
+    """(ln Pois(a - 1; x), ln Q(a, x)) in plain floats; offset is s_{a-1}.
+
+    The scalar twin of regularized_gamma, kept in log space so that Q does
+    not underflow far out, and in plain floats because numpy scalar
+    arithmetic in its loop would cost milliseconds an inversion.
+    """
+    m = a - 1
+    log_ratio = (math.log(x / m) if x < 0.5 * m
+                 else math.log1p((x - m) / max(m, 1)))
+    log_lead = m * log_ratio + (m - x) + offset
+    total = term = 1.0
+    j = 0
+    while True:
+        j += 1
+        r = x / (a + j) if x < a else (a - j) / x
+        term *= r
+        total += term
+        if not term * r > _EPS * (1.0 - r) * total:
+            break
+    if x >= a:
+        return log_lead, log_lead + math.log(total)
+    return log_lead, math.log1p(-math.exp(log_lead) * (x / a) * total)
+
+
+def inverse_gamma_q(a: int, tol: float) -> float:
+    """The x with Q(a, x) = tol, for integer a >= 1 and tol in (0, 1).
+
+    Newton's method on ln Q, which is concave and falling in x, so every
+    step after the first lands right of the root and the iterates fall
+    to it; a bisection guard keeps them inside the bracket found so far.
+    """
+    if not (a >= 1 and 0.0 < tol < 1.0):
+        raise ValueError("inverse_gamma_q needs a >= 1 and tol in (0, 1)")
+    offset = float(log_peak_offset(a - 1))
+    target = math.log(tol)
+    lo, hi = 0.0, math.inf
+    x = float(a)
+    for _ in range(200):
+        log_lead, log_q = _log_gamma_q(a, x, offset)
+        g = log_q - target
+        if g == 0.0:
+            return x
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        # d ln Q / dx = -Pois(a - 1; x) / Q
+        step = g * math.exp(log_q - log_lead)
+        # a step within rounding, or rounding noise in ln Q flipping the
+        # sign of g between neighbouring floats, ends the search
+        if abs(step) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * x:
+            return x + step
+        x += step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    raise ArithmeticError(f"Q({a}, x) = {tol!r} did not converge")
 
 
 def tail_radius(alpha: float, power: float, tol: float = 1e-14) -> float:
     """Cutoff radius R making the Gaussian moment tail negligible.
 
     Smallest R with  integral_{|z|>R} |z|^power e^{-alpha |z|^2} dA
-    below ``tol`` times the full-plane value.  The tail is an upper
-    incomplete gamma function, so R comes from its inverse.
+    below ``tol`` times the full-plane value.  The tail is Q(a, alpha R^2)
+    with a = power / 2 + 1, so R comes from its inverse; power must be
+    an even integer, which makes a an integer.
     """
     if not alpha > 0.0:
         raise ValueError(f"weight parameter must be positive, got {alpha!r}")
-    if power < 0 or not 0.0 < tol < 1.0:
-        raise ValueError("tail_radius needs power >= 0 and tol in (0, 1)")
-    a = 0.5 * power + 1.0
-    return math.sqrt(float(gammainccinv(a, tol)) / alpha)
-
-
-def gaussian_tail_fraction(alpha: float, power: float, radius: float) -> float:
-    """Fraction of the moment integral of |z|^power e^{-alpha|z|^2} beyond radius."""
-    return float(gammaincc(0.5 * power + 1.0, alpha * radius * radius))
+    if power < 0 or power % 2 != 0 or not 0.0 < tol < 1.0:
+        raise ValueError(
+            "tail_radius needs an even power >= 0 and tol in (0, 1)")
+    return math.sqrt(inverse_gamma_q(int(power) // 2 + 1, tol) / alpha)
 
 
 def node_count(x: float, rounding=math.ceil):
@@ -112,7 +270,7 @@ def polar_grid(cutoff_radius: float, radial_nodes: int,
         raise ValueError(f"cutoff radius must be positive, got {cutoff_radius!r}")
     if radial_nodes < 1 or angular_nodes < 4:
         raise ValueError("need radial_nodes >= 1 and angular_nodes >= 4")
-    x, w = np.polynomial.legendre.leggauss(int(radial_nodes))
+    x, w = leggauss(int(radial_nodes))
     radii = 0.5 * cutoff_radius * (x + 1.0)
     radial_weights = 0.5 * cutoff_radius * w
     angles = TWO_PI * np.arange(int(angular_nodes)) / angular_nodes

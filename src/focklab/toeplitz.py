@@ -11,13 +11,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+# numpy loads its fft package on first attribute access; importing it here
+# keeps that cost out of every report's compute time
+from numpy.fft import fft, ifft
 
 from .errors import FocklabError, QuadratureError, TruncationError
 from .fock import FockParams
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       RadialDensity, density_values, support_radius_of)
-from .numerics import PolarGrid, complex_fsum, polar_grid, tail_radius
+from .numerics import (PolarGrid, complex_fsum, log_poisson, polar_grid,
+                       regularized_gamma, tail_radius)
 
 _TAIL_TOL = 1e-12
 _REFINE_TOL = 1e-8
@@ -68,23 +71,6 @@ class HankelMatrix:
         object.__setattr__(self, "entries", entries)
 
 
-def _log_peak_offsets(size: int) -> np.ndarray:
-    """s_k = log(k^k e^{-k} / k!) for k < size.
-
-    Past k = 15 it comes from Stirling's series, so that the nearly equal
-    terms k log k and log k! never cancel in floating point.
-    """
-    s = np.zeros(size)
-    small = np.arange(1.0, min(size, 16))
-    s[1:small.size + 1] = small * np.log(small) - small - gammaln(small + 1.0)
-    k = np.arange(16.0, size)
-    inv2 = 1.0 / (k * k)
-    stirling = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (
-        1.0 / 1260.0 - inv2 * (1.0 / 1680.0 - inv2 / 1188.0)))) / k
-    s[16:] = -0.5 * np.log(2.0 * math.pi * k) - stirling
-    return s
-
-
 def _unit_power(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     """(z / |z|)^k by repeated squaring of z itself (1 at z = 0).
 
@@ -117,9 +103,7 @@ def basis_matrix(nodes, size: int, alpha: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         x = np.minimum(alpha * np.abs(z) ** 2, np.finfo(float).max)
     k = np.minimum(size - 1, np.floor(x)).astype(int)
-    # k log x - x - log k!, regrouped so that no two large terms cancel
-    log_peak = 0.5 * (k * np.log1p((x - k) / np.maximum(k, 1)) + (k - x)
-                      + _log_peak_offsets(size)[k])
+    log_peak = 0.5 * log_poisson(k, x)
     e = np.zeros((size, z.size), dtype=complex)
     e[k, np.arange(z.size)] = np.exp(log_peak) * _unit_power(z, k)
     below_peak = np.arange(size)[:, None] <= k
@@ -207,7 +191,7 @@ def _ring_pairing(mu, grid: PolarGrid, size: int, alpha: float,
     if not np.all(np.isfinite(c)):
         raise QuadratureError(f"density is not finite on the grid of radius "
                               f"{grid.cutoff_radius:g}")
-    c_hat = np.fft.fft(c.reshape(grid.n_radial, grid.n_angular), axis=1)
+    c_hat = fft(c.reshape(grid.n_radial, grid.n_angular), axis=1)
     rho = basis_matrix(grid.radii, size, alpha).real
     entries = np.empty((size, size), dtype=complex)
     for k, m, n, prod in _ring_bands(rho, bilinear):
@@ -226,7 +210,7 @@ def _ring_transform(entries: np.ndarray, grid: PolarGrid,
     spectrum = np.zeros((grid.n_radial, grid.n_angular), dtype=complex)
     for k, m, n, prod in _ring_bands(rho):
         spectrum[:, k % grid.n_angular] += entries[m, n] @ prod
-    return np.fft.ifft(spectrum, axis=1, norm="forward").ravel()
+    return ifft(spectrum, axis=1, norm="forward").ravel()
 
 
 def build_from_point_masses(mu: PointMasses, size: int,
@@ -281,7 +265,7 @@ def build_hankel(mu: MeasureSymbol, size: int,
 
 def basis_tail_mass(size: int, alpha: float, z) -> np.ndarray:
     """Squared-coefficient mass of the normalized kernel at z past index size."""
-    return gammainc(size, alpha * np.abs(np.asarray(z)) ** 2)
+    return regularized_gamma(size, alpha * np.abs(np.asarray(z)) ** 2)[0]
 
 
 def berezin_operator(op: TruncatedOperator, z):

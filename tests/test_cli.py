@@ -1,7 +1,10 @@
 """Command-line behavior: config validation, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,6 +380,15 @@ class TestRefusedConfigs:
         assert_exit_two(capsys, ["schatten", "--config", path],
                         "NonFiniteError: data.schatten_2: not a finite float")
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    def test_subnormal_counterexample_alpha(self, tmp_path, capsys, alpha):
+        # ended in an OverflowError traceback: the pairing term carries
+        # pi / alpha, which overflows
+        path = write(tmp_path, "alpha.json", json.dumps({"alpha": alpha}))
+        assert_exit_two(capsys, ["counterexample", "--config", path],
+                        "NonFiniteError: data.divergence_terms[0]: "
+                        "not a finite float")
+
 
 class TestCsvOutput:
 
@@ -503,3 +515,44 @@ class TestSubcommands:
         data = report["data"]
         assert data["transform_l1"] <= data["schatten_1"] + 1e-8
         assert len(data["singular_values"]) == 64
+
+
+class TestImports:
+    """The command line runs on numpy alone and loads all of it up front."""
+
+    def run_python(self, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        out = self.run_python(
+            "import sys, focklab.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out.strip() == "[]"
+
+    def test_main_first_imports_no_module(self, tmp_path):
+        # numpy loads fft, polynomial and random lazily, and argparse
+        # imports locale on first use; a first import inside main lands in
+        # every report's compute time.  The density toeplitz report runs
+        # first, then the subcommands with other code paths.
+        density = {"truncation": 32, "measure": {
+            "type": "gaussian", "beta": 1.2, "x": 0.5, "y": -0.3}}
+        disk = {"truncation": 32, "measure": {"type": "uniform_disk",
+                                               "radius": 1.0}}
+        runs = [("toeplitz", density), ("trace-check", disk),
+                ("lattice-approx", disk), ("counterexample", {}),
+                ("kernel-continuity", {})]
+        argvs = [[name, "--config", write(tmp_path, f"{name}.json",
+                                           json.dumps(config))]
+                 for name, config in runs]
+        out = self.run_python(
+            "import contextlib, io, sys, focklab.cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in {argvs!r}:\n"
+            "        assert focklab.cli.main(argv) == 0, argv\n"
+            "print(sorted(set(sys.modules) - before))")
+        assert out.strip() == "[]"

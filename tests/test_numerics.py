@@ -1,13 +1,34 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from focklab.errors import QuadratureError, ResourceError
-from focklab.numerics import (gaussian_tail_fraction, integrate_plane,
-                              log_basis_coeff, lr_norm,
-                              min_angular_nodes, node_count, polar_grid,
-                              tail_radius)
+from focklab.numerics import (erf, integrate_plane, inverse_gamma_q,
+                              log_basis_coeff, log_factorial, log_poisson,
+                              lr_norm, min_angular_nodes, node_count,
+                              polar_grid, regularized_gamma, tail_radius)
+from focklab.toeplitz import basis_tail_mass
+
+mpmath.mp.dps = 50
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+def mp_gamma_p(a, x):
+    return mpmath.gammainc(a, 0, x, regularized=True)
+
+
+def mp_gamma_q(a, x):
+    return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+
+
+def relative_error(got, exact):
+    """|got - exact| / exact, or |got| when exact underflows a double."""
+    if exact < mpmath.mpf(2.0 ** -1022):
+        return abs(got)
+    return float(abs(mpmath.mpf(got) - exact) / exact)
 
 
 class TestLogBasisCoeff:
@@ -126,15 +147,110 @@ class TestTailRadius:
     def test_tail_below_tolerance(self):
         for alpha, power in ((1.0, 0), (0.5, 128), (math.pi, 400)):
             radius = tail_radius(alpha, power, 1e-14)
-            assert gaussian_tail_fraction(alpha, power, radius) <= 1.0000001e-14
+            a = 0.5 * power + 1.0
+            assert gammaincc(a, alpha * radius ** 2) <= 1.0000001e-14
             # barely shrinking the radius must break the bound
-            assert gaussian_tail_fraction(alpha, power, 0.98 * radius) > 1e-14
+            assert gammaincc(a, alpha * (0.98 * radius) ** 2) > 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
             tail_radius(-1.0, 4)
         with pytest.raises(ValueError):
             tail_radius(1.0, 4, tol=2.0)
+        with pytest.raises(ValueError, match="even power"):
+            tail_radius(1.0, 3)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-15])
+    @pytest.mark.parametrize("size", [8, 16, 64, 128, 512, 1024, 4096])
+    def test_against_mpmath(self, size, tol):
+        # the grid cutoffs: Q(N + 1, alpha R^2) = tol with power 2N; the
+        # root in x = alpha R^2 does not depend on alpha
+        a = size + 1
+
+        def log_tail(x):
+            return mpmath.log(mp_gamma_q(a, x)) - mpmath.log(tol)
+
+        exact = mpmath.findroot(log_tail, mpmath.mpf(inverse_gamma_q(a, tol)))
+        for alpha in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            radius = tail_radius(alpha, 2 * size, tol)
+            assert relative_error(radius, mpmath.sqrt(exact / alpha)) < 2e-15
+
+
+class TestIncompleteGamma:
+    """ln n!, erf, P and Q against 50-digit mpmath values."""
+
+    ORDERS = [1, 9, 65, 129, 4097]
+
+    def test_log_factorial(self):
+        n = np.concatenate([np.arange(0, 200), [1000, 4096, 65536, 2.0 ** 60,
+                                                2.0 ** 1000]])
+        got = log_factorial(n)
+        assert got.shape == n.shape
+        for value, k in zip(got, n):
+            exact = mpmath.loggamma(mpmath.mpf(k) + 1)
+            if exact == 0:
+                assert value == 0.0
+            else:
+                # math.lgamma is off by up to 5.1e-16 (at 2!)
+                assert relative_error(value, exact) < 1e-15, k
+        assert log_factorial(5) == pytest.approx(math.log(120.0), rel=1e-15)
+        assert isinstance(log_factorial(5), float)
+
+    def test_erf(self):
+        x = np.linspace(-7.0, 7.0, 281)
+        got = erf(x)
+        for value, t in zip(got, x):
+            assert abs(value - float(mpmath.erf(t))) <= 2.3e-16, t
+
+    @pytest.mark.parametrize("a", ORDERS)
+    def test_p_and_q(self, a):
+        x = np.concatenate([np.linspace(0.0, 4.0 * a, 81),
+                            [a - 1e-9 * a, a, 1e300, FLOAT_MAX, math.inf]])
+        p, q = regularized_gamma(a, x)
+        assert p.shape == q.shape == x.shape
+        assert p[0] == 0.0 and q[0] == 1.0
+        assert p[-1] == p[-2] == 1.0 and q[-1] == q[-2] == 0.0
+        # rounding in ln Pois(a; x), whose terms reach the size of a, sets
+        # the error; it is relative in the small tail and in the complement
+        bound = 1e-14 * math.sqrt(a)
+        for i, t in enumerate(x[:-1]):
+            assert relative_error(p[i], mp_gamma_p(a, t)) < bound, t
+            assert relative_error(q[i], mp_gamma_q(a, t)) < bound, t
+
+    @pytest.mark.parametrize("size", [8, 24, 64, 128, 1024, 4096])
+    def test_truncation_verdict_neighbourhood(self, size):
+        # P(N, alpha|z|^2) against 1e-12 decides whether a Berezin or
+        # point-mass report answers or exits 2
+        lo = inverse_gamma_q(size, 1.0 - 1e-13)
+        hi = inverse_gamma_q(size, 1.0 - 1e-11)
+        z = np.sqrt(np.linspace(lo, hi, 41))
+        alpha = 0.7
+        z /= math.sqrt(alpha)
+        got = basis_tail_mass(size, alpha, z)
+        for value, t in zip(got, alpha * np.abs(z) ** 2):
+            exact = mp_gamma_p(size, t)
+            assert 9e-14 < exact < 1.1e-11
+            assert relative_error(value, exact) < 1e-13, t
+            if abs(exact / mpmath.mpf(1e-12) - 1) > 1e-13:
+                assert (value >= 1e-12) == (exact >= 1e-12), t
+
+    def test_scalar_and_log_poisson(self):
+        p, q = regularized_gamma(3, 2.5)
+        assert p.shape == () and p + q == pytest.approx(1.0, rel=1e-15)
+        for n, t in ((0, 0.0), (0, 3.0), (5, 0.0), (40, 0.1), (40, 39.5),
+                     (4096, 4100.25), (4096, 1e5)):
+            exact = (n * mpmath.log(t) if t else 0 if n == 0 else -mpmath.inf)
+            exact = exact - t - mpmath.loggamma(n + 1)
+            got = float(log_poisson(n, t))
+            if exact == -mpmath.inf:
+                assert got == -math.inf
+            else:
+                assert abs(got - float(exact)) <= 1e-15 * max(1.0, abs(got))
+
+    def test_inverse_validation(self):
+        for a, tol in ((0, 0.5), (3, 0.0), (3, 1.0)):
+            with pytest.raises(ValueError):
+                inverse_gamma_q(a, tol)
 
 
 class TestLrNorm:
