@@ -29,9 +29,9 @@ from .counterexample import CounterexampleParams, full_report
 from .errors import ConfigError, FocklabError, NonFiniteError
 from .fock import FockParams, kernel_continuity_probe
 from .lattice import convergence_study, rigidity_experiment
-from .measure import (GaussianDensity, PointMasses, berezin_measure,
-                      berezin_lr_norm, is_positive, support_radius_of,
-                      total_mass, total_variation, uniform_disk)
+from .measure import (GaussianDensity, PointMasses, UniformDisk,
+                      berezin_measure, berezin_lr_norm, is_positive,
+                      support_radius_of, total_mass, total_variation)
 from .toeplitz import (adjoint_isometry_check, build_from_measure,
                        build_hankel, identity_operator, schatten_norm,
                        singular_values, trace, trace_pairing,
@@ -275,7 +275,7 @@ def build_measure(spec: dict):
                        for e in spec["points"])
         return PointMasses(points)
     if kind == "uniform_disk":
-        return uniform_disk(spec["amplitude"], spec["radius"])
+        return UniformDisk(spec["amplitude"], spec["radius"])
     return GaussianDensity(amplitude=spec["amplitude"], beta=spec["beta"],
                            center=complex(spec["x"], spec["y"]))
 
@@ -335,21 +335,20 @@ def run_berezin(config: RunConfig, seed):
 
 def _matrix_report(op):
     entries = op.entries
+    tr = np.trace(entries)
     return {
         "truncation": int(op.truncation),
-        "trace_re": float(np.trace(entries).real),
-        "trace_im": float(np.trace(entries).imag),
+        "trace_re": float(tr.real),
+        "trace_im": float(tr.imag),
         "entries": [[[float(v.real), float(v.imag)] for v in row]
                     for row in entries],
     }
 
 
 def _matrix_rows(entries):
-    rows = []
-    for m in range(entries.shape[0]):
-        for n in range(entries.shape[1]):
-            rows.append((m, n, float(entries[m, n].real),
-                         float(entries[m, n].imag)))
+    """CSV header and a lazy row generator, so JSON reports build no table."""
+    rows = ((m, n, float(v.real), float(v.imag))
+            for (m, n), v in np.ndenumerate(entries))
     return ("m", "n", "re", "im"), rows
 
 
@@ -399,8 +398,8 @@ def run_schatten(config: RunConfig, seed):
     l1 = transform_l1_norm(op)
     data = {
         "schatten_1": float(s1),
-        "schatten_2": float(schatten_norm(op, 2.0)),
-        "operator_norm": float(schatten_norm(op, math.inf)),
+        "schatten_2": float(schatten_norm(sigma, 2.0)),
+        "operator_norm": float(schatten_norm(sigma, math.inf)),
         "adjoint_schatten_1": float(s1_adjoint),
         "transform_l1": float(l1),
         "singular_values": [float(v) for v in sigma],

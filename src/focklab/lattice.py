@@ -16,13 +16,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import FocklabError, ResourceError
 from .fock import FockParams, conjugate_exponent, kernel_grid, norm
-from .measure import (Density, GaussianDensity, MeasureSymbol, PointMasses,
-                      RadialDensity, berezin_lr_norm, density_values,
+from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
+                      UniformDisk, berezin_lr_norm, density_values,
                       disk_cell_area, require_positive, support_radius_of,
                       total_variation)
 from .numerics import complex_fsum, erf
 from .toeplitz import (TruncatedOperator, _pairing_matrix, build_from_measure,
-                       schatten_norm)
+                       schatten_norm, singular_values)
 
 _CELL_DROP = 1e-15
 _CELL_QUAD_NODES = 8
@@ -33,20 +33,15 @@ _CELL_BUDGET = 2 * 10 ** 6  # squares one partition may visit
 class LatticePartition:
     """Cell masses of a measure on the square lattice of side r.
 
-    Cells are enumerated ring-major: increasing Chebyshev ring, then
-    counterclockwise within the ring.  Cells whose mass fell below the drop
-    threshold are accounted in dropped_mass rather than listed.
+    ``cells`` holds one (center, mass) row per cell, ring-major: increasing
+    Chebyshev ring, then counterclockwise within the ring.  Cells whose mass
+    fell below the drop threshold are accounted in dropped_mass rather than
+    listed.
     """
 
     r: float
-    cells: tuple[tuple[complex, complex], ...]
+    cells: np.ndarray
     dropped_mass: complex = 0j
-
-    def centers(self) -> np.ndarray:
-        return np.array([c for c, _ in self.cells], dtype=complex)
-
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.cells], dtype=complex)
 
 
 def _cell_index(x, y, r: float):
@@ -96,10 +91,10 @@ def _point_cells(mu: PointMasses, r: float):
     return cells[0], cells[1], masses
 
 
-def _disk_cells(mu: RadialDensity, r: float):
+def _disk_cells(mu: UniformDisk, r: float):
     """Cells inside the disk get constant r^2; only the cells its circle
     crosses need the exact geometry of disk_cell_area."""
-    radius = mu.support_radius
+    radius = mu.radius
     i, j = _block(0, 0, _budget_reach(np.floor(radius / r + 0.5) + 1.0, r))
     far = np.hypot((np.abs(i) + 0.5) * r, (np.abs(j) + 0.5) * r)
     near = np.hypot(np.maximum(np.abs(i) - 0.5, 0.0) * r,
@@ -109,7 +104,7 @@ def _disk_cells(mu: RadialDensity, r: float):
         area[c] = disk_cell_area((i[c] - 0.5) * r, (i[c] + 0.5) * r,
                                  (j[c] - 0.5) * r, (j[c] + 0.5) * r, radius)
     inside = area > 0.0
-    return i[inside], j[inside], mu.constant_value * area[inside]
+    return i[inside], j[inside], mu.amplitude * area[inside]
 
 
 def _gaussian_cells(mu: GaussianDensity, r: float):
@@ -129,11 +124,9 @@ def _gaussian_cells(mu: GaussianDensity, r: float):
 
 
 def _quadrature_cells(mu, r: float):
-    """Gauss-Legendre cell masses of any other density, one row at a time."""
-    radius = support_radius_of(mu)
-    center = mu.center if isinstance(mu, Density) else 0j
-    reach = _budget_reach(np.floor(radius / r + 0.5) + 1.0, r)
-    i, j = _block(*_cell_index(center.real, center.imag, r), reach)
+    """Gauss-Legendre cell masses of a sampled density, one row at a time."""
+    reach = _budget_reach(np.floor(support_radius_of(mu) / r + 0.5) + 1.0, r)
+    i, j = _block(*_cell_index(mu.center.real, mu.center.imag, r), reach)
     x, w = leggauss(_CELL_QUAD_NODES)
     offset = 0.5 * r * x
     cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
@@ -154,7 +147,7 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
         raise ValueError("lattice side must be positive")
     if isinstance(mu, PointMasses):
         i, j, masses = _point_cells(mu, r)
-    elif isinstance(mu, RadialDensity) and mu.constant_value is not None:
+    elif isinstance(mu, UniformDisk):
         i, j, masses = _disk_cells(mu, r)
     elif isinstance(mu, GaussianDensity):
         i, j, masses = _gaussian_cells(mu, r)
@@ -167,15 +160,16 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     order = np.lexsort((j, i, angle, np.maximum(np.abs(i), np.abs(j))))
     centers = np.empty(order.size, dtype=complex)
     centers.real, centers.imag = i[order] * r, j[order] * r
-    return LatticePartition(r, tuple(zip(centers.tolist(),
-                                         kept[order].tolist())),
+    cells = np.column_stack((centers, kept[order]))
+    cells.setflags(write=False)
+    return LatticePartition(r, cells,
                             dropped_mass=complex_fsum(masses[dropped]))
 
 
 def lattice_operator(part: LatticePartition, size: int,
                      params: FockParams) -> TruncatedOperator:
     """Matrix of the discretized operator: cell masses on kernel projections."""
-    entries = _pairing_matrix(part.centers(), part.weights(), size,
+    entries = _pairing_matrix(part.cells[:, 0], part.cells[:, 1], size,
                               params.alpha)
     return TruncatedOperator(entries, size, params,
                              provenance=f"lattice(r={part.r!r},"
@@ -189,7 +183,7 @@ def lattice_nuclear_bound(part: LatticePartition, params: FockParams) -> float:
     the rank-one cross norms collapse to the scaled summed cell masses; no
     quadrature enters.
     """
-    return (params.alpha / math.pi) * math.fsum(np.abs(part.weights()))
+    return (params.alpha / math.pi) * math.fsum(np.abs(part.cells[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -210,10 +204,11 @@ def convergence_study(mu: MeasureSymbol, r_values, size: int,
         approx = lattice_operator(part, size, params)
         diff = TruncatedOperator(approx.entries - reference.entries, size,
                                  params, provenance="difference")
+        sigma = singular_values(diff)
         rows.append(ConvergenceRow(
             r=float(r),
-            s1_error=schatten_norm(diff, 1.0),
-            op_error=schatten_norm(diff, math.inf),
+            s1_error=schatten_norm(sigma, 1.0),
+            op_error=schatten_norm(sigma, math.inf),
             nuclear_bound=lattice_nuclear_bound(part, params)))
     return rows
 

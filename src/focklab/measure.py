@@ -1,15 +1,15 @@
 """Measure symbols and their Berezin transforms.
 
 A symbol is one of four variants: finite point masses, a sampled density on
-a disk, a radial density (optionally a constant times a disk indicator, which
-unlocks exact cell geometry), or a centered Gaussian density.  All Berezin
-work reduces to the heat-kernel smoothing
+a disk, a constant density on a disk about the origin (which unlocks exact
+cell geometry), or a Gaussian density.  All Berezin work reduces to the
+heat-kernel smoothing
 (alpha/pi) * integral of e^{-alpha |z - w|^2} d mu(w).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class Density:
     """Absolutely continuous measure func(w) dA(w) on |w - center| <= support_radius.
 
     ``func`` is sampled on demand at absolute coordinates and must be smooth
-    on the support disk; ``positive`` is a caller declaration (samples cannot
-    prove positivity of a callable).
+    on the support disk, whose radius must be finite; ``positive`` is a caller
+    declaration (samples cannot prove positivity of a callable).
     """
 
     func: Callable
@@ -63,48 +63,26 @@ class Density:
     positive: bool = False
 
     def __post_init__(self):
-        if not self.support_radius > 0.0:
-            raise ValueError("support radius must be positive")
+        if not 0.0 < self.support_radius < math.inf:
+            raise ValueError("support radius must be positive and finite")
         object.__setattr__(self, "center", complex(self.center))
 
 
 @dataclass(frozen=True)
-class RadialDensity:
-    """Radial density profile(|w|) dA(w) supported in |w| <= support_radius.
+class UniformDisk:
+    """Constant density amplitude * 1_{|w| <= radius} dA(w).
 
-    With ``constant_value`` set (and no profile) the measure is the exact
-    constant-times-disk-indicator, which downstream code integrates by
-    closed-form geometry instead of quadrature.  ``support_radius`` may be
-    inf only for callable profiles that decay on their own.
+    Downstream code integrates it by closed-form geometry where it can.
     """
 
-    profile: Optional[Callable] = None
-    support_radius: float = math.inf
-    constant_value: Optional[complex] = None
-    positive: bool = False
+    amplitude: complex
+    radius: float
 
     def __post_init__(self):
-        if (self.profile is None) == (self.constant_value is None):
-            raise ValueError("give exactly one of profile, constant_value")
-        if self.constant_value is not None:
-            cv = complex(self.constant_value)
-            if not math.isfinite(self.support_radius):
-                raise ValueError("a constant disk needs a finite radius")
-            object.__setattr__(self, "constant_value", cv)
-            object.__setattr__(self, "positive", cv.imag == 0.0 and cv.real >= 0.0)
-        if not self.support_radius > 0.0:
-            raise ValueError("support radius must be positive")
-
-    def profile_values(self, t: np.ndarray) -> np.ndarray:
-        if self.constant_value is not None:
-            return np.full(np.shape(t), self.constant_value, dtype=complex)
-        return np.asarray(self.profile(np.asarray(t)), dtype=complex)
-
-
-def uniform_disk(amplitude: complex, radius: float) -> RadialDensity:
-    """Constant density on the disk |w| <= radius."""
-    return RadialDensity(support_radius=float(radius),
-                         constant_value=complex(amplitude))
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("disk radius must be positive and finite")
+        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        object.__setattr__(self, "radius", float(self.radius))
 
 
 @dataclass(frozen=True)
@@ -126,7 +104,7 @@ class GaussianDensity:
         return math.sqrt(-math.log(tol) / self.beta)
 
 
-MeasureSymbol = PointMasses | Density | RadialDensity | GaussianDensity
+MeasureSymbol = PointMasses | Density | UniformDisk | GaussianDensity
 
 
 def is_positive(mu: MeasureSymbol) -> bool:
@@ -134,7 +112,7 @@ def is_positive(mu: MeasureSymbol) -> bool:
     if isinstance(mu, PointMasses):
         w = mu.weights
         return bool(np.all(w.imag == 0.0) and np.all(w.real >= 0.0))
-    if isinstance(mu, GaussianDensity):
+    if isinstance(mu, (GaussianDensity, UniformDisk)):
         return mu.amplitude.imag == 0.0 and mu.amplitude.real >= 0.0
     return bool(mu.positive)
 
@@ -151,11 +129,8 @@ def support_radius_of(mu: MeasureSymbol) -> float:
         return float(np.abs(locs).max()) if locs.size else 0.0
     if isinstance(mu, Density):
         return abs(mu.center) + mu.support_radius
-    if isinstance(mu, RadialDensity):
-        if not math.isfinite(mu.support_radius):
-            raise FocklabError("radial density with infinite support has no "
-                               "a-priori support radius")
-        return mu.support_radius
+    if isinstance(mu, UniformDisk):
+        return mu.radius
     return abs(mu.center) + mu.effective_radius()
 
 
@@ -165,8 +140,8 @@ def total_mass(mu: MeasureSymbol) -> complex:
         return complex_fsum(mu.weights)
     if isinstance(mu, GaussianDensity):
         return mu.amplitude * math.pi / mu.beta
-    if isinstance(mu, RadialDensity) and mu.constant_value is not None:
-        return mu.constant_value * math.pi * mu.support_radius ** 2
+    if isinstance(mu, UniformDisk):
+        return mu.amplitude * math.pi * mu.radius ** 2
     nodes, weights, values = density_samples(mu)
     return complex_fsum(weights * values)
 
@@ -177,15 +152,16 @@ def total_variation(mu: MeasureSymbol) -> float:
         return math.fsum(np.abs(mu.weights))
     if isinstance(mu, GaussianDensity):
         return abs(mu.amplitude) * math.pi / mu.beta
-    if isinstance(mu, RadialDensity) and mu.constant_value is not None:
-        return abs(mu.constant_value) * math.pi * mu.support_radius ** 2
+    if isinstance(mu, UniformDisk):
+        return abs(mu.amplitude) * math.pi * mu.radius ** 2
     nodes, weights, values = density_samples(mu)
     return math.fsum(weights * np.abs(values))
 
 
 def density_samples(mu: MeasureSymbol, radial_nodes: int = 96,
                     angular_nodes: int | None = None):
-    """Quadrature view (nodes, weights, density values) of a density variant.
+    """Quadrature view (nodes, weights, density values) of a sampled density
+    or a disk; a Gaussian's mass and transform are closed forms.
 
     Nodes are absolute complex coordinates; weights carry the area Jacobian.
     Point masses are not densities and are rejected.
@@ -194,12 +170,8 @@ def density_samples(mu: MeasureSymbol, radial_nodes: int = 96,
         raise FocklabError("point masses have no density samples")
     if isinstance(mu, Density):
         center, radius = mu.center, mu.support_radius
-    elif isinstance(mu, RadialDensity):
-        if not math.isfinite(mu.support_radius):
-            raise FocklabError("sampling a radial density needs finite support")
-        center, radius = 0j, mu.support_radius
     else:
-        center, radius = mu.center, mu.effective_radius()
+        center, radius = 0j, mu.radius
     grid = polar_grid(radius, radial_nodes,
                       angular_nodes or max(128, min_angular_nodes(radial_nodes)))
     nodes = center + grid.nodes
@@ -209,7 +181,7 @@ def density_samples(mu: MeasureSymbol, radial_nodes: int = 96,
 def density_values(mu: MeasureSymbol, nodes) -> np.ndarray:
     """Density values at absolute complex coordinates.
 
-    Sampling a radial or declared-support density outside its support returns
+    Sampling a disk or declared-support density outside its support returns
     zero, so callers must keep quadrature domains inside the support to avoid
     integrating across the cutoff jump.
     """
@@ -219,11 +191,8 @@ def density_values(mu: MeasureSymbol, nodes) -> np.ndarray:
     if isinstance(mu, Density):
         values = np.where(np.abs(nodes - mu.center) <= mu.support_radius,
                           np.asarray(mu.func(nodes), dtype=complex), 0j)
-    elif isinstance(mu, RadialDensity):
-        t = np.abs(nodes)
-        # Clamp before evaluating: profiles need not be defined past support.
-        inside = mu.profile_values(np.minimum(t, mu.support_radius))
-        values = np.where(t <= mu.support_radius, inside, 0j)
+    elif isinstance(mu, UniformDisk):
+        values = np.where(np.abs(nodes) <= mu.radius, mu.amplitude, 0j)
     else:
         values = mu.amplitude * np.exp(-mu.beta * np.abs(nodes - mu.center) ** 2)
     return values
@@ -299,7 +268,7 @@ def berezin_lr_norm(mu: MeasureSymbol, r: float, params: FockParams) -> float:
     (origin, atoms, centers), since polar nodes never sit exactly there.
     """
     grid = berezin_grid(mu, params)
-    if isinstance(mu, RadialDensity):
+    if isinstance(mu, UniformDisk):
         # a radial symbol has a radial transform, so one ray of samples
         # plus the exact angular factor replaces the full grid sweep
         mags = np.abs(berezin_measure(mu, grid.radii.astype(complex), params))
@@ -318,7 +287,7 @@ def berezin_lr_norm(mu: MeasureSymbol, r: float, params: FockParams) -> float:
         probes = [0j]
         if isinstance(mu, PointMasses):
             probes.extend(mu.locations.tolist())
-        elif not isinstance(mu, RadialDensity):
+        elif not isinstance(mu, UniformDisk):
             probes.append(mu.center)
         extra = [abs(berezin_measure(mu, p, params)) for p in probes]
         return max([peak] + extra)

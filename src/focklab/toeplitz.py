@@ -18,7 +18,7 @@ from numpy.fft import fft, ifft
 from .errors import FocklabError, QuadratureError, TruncationError
 from .fock import FockParams
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
-                      RadialDensity, density_values, support_radius_of)
+                      density_values, support_radius_of)
 from .numerics import (PolarGrid, complex_fsum, log_poisson, polar_grid,
                        regularized_gamma, tail_radius)
 
@@ -119,18 +119,16 @@ def basis_matrix(nodes, size: int, alpha: float) -> np.ndarray:
 
 
 def _quadrature_grid(size: int, params: FockParams,
-                     support: float = math.inf) -> PolarGrid:
+                     support: float) -> PolarGrid:
     """Polar grid resolving products of the first `size` basis functions."""
     cutoff = min(support, tail_radius(params.alpha, 2 * size, 1e-15))
     return polar_grid(cutoff, max(96, 2 * size), max(192, 4 * size))
 
 
 def _density_support(mu) -> float:
-    """Radius carrying the density; inf for a radial profile that decays."""
+    """Radius of a disk about the origin carrying the density."""
     if isinstance(mu, GaussianDensity):
         return abs(mu.center) + mu.effective_radius(1e-18)
-    if isinstance(mu, RadialDensity):
-        return mu.support_radius
     return support_radius_of(mu)
 
 
@@ -338,11 +336,11 @@ def singular_values(op) -> np.ndarray:
         raise FocklabError(f"singular value decomposition failed: {exc}")
 
 
-def schatten_norm(op, s: float) -> float:
-    """Schatten s-norm from singular values; s=inf is the operator norm."""
+def schatten_norm(sigma: np.ndarray, s: float) -> float:
+    """Schatten s-norm from descending singular values; s=inf is the operator
+    norm."""
     if not s >= 1.0:
         raise ValueError("schatten order must be >= 1")
-    sigma = singular_values(op)
     if sigma.size == 0:
         return 0.0
     if math.isinf(s):
@@ -354,26 +352,24 @@ def adjoint_isometry_check(op: TruncatedOperator) -> tuple[float, float]:
     """Trace norms of the operator and its adjoint (equal in exact arithmetic)."""
     adj = TruncatedOperator(op.entries.conj().T, op.truncation, op.params,
                             provenance=f"adjoint[{op.provenance}]")
-    return schatten_norm(op, 1.0), schatten_norm(adj, 1.0)
+    return (schatten_norm(singular_values(op), 1.0),
+            schatten_norm(singular_values(adj), 1.0))
 
 
 def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
     """Trace of T_phi . S two ways: matrix trace and Berezin-transform integral.
 
-    phi must be a compactly supported density variant; the operator's Berezin
-    transform must be truncation-valid over that support.
+    phi must be a density variant; the operator's Berezin transform must be
+    truncation-valid over its support.
     """
     if isinstance(phi, PointMasses):
         raise FocklabError("trace pairing needs a density symbol")
     params = op.params
     size = op.truncation
-    support = _density_support(phi)
-    if not math.isfinite(support):
-        raise FocklabError("trace pairing needs a compactly supported symbol")
     left = build_from_measure(phi, size, params)
     product = left.entries @ op.entries
     matrix_side = complex_fsum(np.diagonal(product))
-    grid = _quadrature_grid(size, params, support)
+    grid = _quadrature_grid(size, params, _density_support(phi))
     tail = basis_tail_mass(size, params.alpha, grid.cutoff_radius)
     if tail >= _TAIL_TOL:
         raise TruncationError(

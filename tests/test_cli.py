@@ -12,7 +12,7 @@ import pytest
 from focklab.cli import build_measure, main, parse_config
 from focklab.errors import ConfigError
 from focklab.fock import FockParams
-from focklab.measure import GaussianDensity, PointMasses, RadialDensity
+from focklab.measure import GaussianDensity, PointMasses, UniformDisk
 from focklab.toeplitz import build_from_measure, build_hankel
 
 
@@ -103,8 +103,7 @@ class TestParseConfig:
         assert isinstance(pm, PointMasses)
         disk = build_measure(parse_config(
             '{"measure": {"type": "uniform_disk", "radius": 2}}').measure)
-        assert isinstance(disk, RadialDensity)
-        assert disk.support_radius == 2.0
+        assert disk == UniformDisk(1.0, 2.0)
         gauss = build_measure(parse_config(GAUSS).measure)
         assert isinstance(gauss, GaussianDensity)
 

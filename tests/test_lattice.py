@@ -12,11 +12,11 @@ from focklab.lattice import (convergence_study, lattice_nuclear_bound,
                              lattice_operator, lattice_partition,
                              rigidity_experiment)
 from focklab.measure import (Density, GaussianDensity, PointMasses,
-                             RadialDensity, berezin_measure, density_values,
-                             disk_cell_area, total_mass, total_variation,
-                             uniform_disk)
+                             UniformDisk, berezin_measure, density_values,
+                             disk_cell_area, total_mass, total_variation)
 from focklab.numerics import complex_fsum
-from focklab.toeplitz import build_from_point_masses, schatten_norm, trace
+from focklab.toeplitz import (build_from_point_masses, schatten_norm,
+                              singular_values, trace)
 
 PARAMS = FockParams(alpha=1.0)
 
@@ -37,15 +37,15 @@ class TestPartition:
 
     def test_origin_point_mass(self):
         part = lattice_partition(delta(0j), 1.0)
-        assert part.cells == ((0j, 1.0 + 0j),)
+        assert part.cells.tolist() == [[0j, 1.0 + 0j]]
         assert part.dropped_mass == 0j
 
     def test_half_open_boundary_assignment(self):
         part = lattice_partition(delta(0.5), 1.0)
-        assert part.cells == ((1.0 + 0j, 1.0 + 0j),)
+        assert part.cells.tolist() == [[1.0 + 0j, 1.0 + 0j]]
 
     def test_unit_disk_in_single_cell(self):
-        part = lattice_partition(uniform_disk(1.0, 1.0), 2.0)
+        part = lattice_partition(UniformDisk(1.0, 1.0), 2.0)
         assert len(part.cells) == 1
         center, weight = part.cells[0]
         assert center == 0j
@@ -58,8 +58,8 @@ class TestPartition:
         assert part.cells[0][1] == pytest.approx(3.0)
 
     def test_enumeration_ring_major(self):
-        part = lattice_partition(uniform_disk(1.0, 1.0), 0.5)
-        centers = part.centers()
+        part = lattice_partition(UniformDisk(1.0, 1.0), 0.5)
+        centers = part.cells[:, 0]
         rings = np.maximum(np.abs(centers.real), np.abs(centers.imag))
         assert np.all(np.diff(rings) >= -1e-12)
         assert centers[0] == 0j
@@ -68,7 +68,7 @@ class TestPartition:
         corpus = [
             delta(0.7 - 0.2j, 1.5),
             PointMasses(((0j, 1.0), (1.3, -0.5j))),
-            uniform_disk(2.0, 1.3),
+            UniformDisk(2.0, 1.3),
             GaussianDensity(1.0, 2.0, center=0.3 + 0.2j),
             Density(lambda w: np.exp(-np.abs(w) ** 2), 5.5),
         ]
@@ -83,8 +83,8 @@ class TestPartition:
                 assert total_abs <= ceiling + 1e-10, (mu, r)
 
     def test_centers_distinct(self):
-        part = lattice_partition(uniform_disk(1.0, 1.5), 0.25)
-        centers = part.centers()
+        part = lattice_partition(UniformDisk(1.0, 1.5), 0.25)
+        centers = part.cells[:, 0]
         assert len(set(centers.tolist())) == len(centers)
 
     def test_invalid_cell_size(self):
@@ -132,14 +132,14 @@ def scalar_partition(mu, r):
                 if mass != 0j:
                     indexed[(i, j)] = mass
     else:
-        radius = mu.support_radius
+        radius = mu.radius
         reach = int(math.floor(radius / r + 0.5) + 1.0)
         for i in range(-reach, reach + 1):
             for j in range(-reach, reach + 1):
                 area = disk_cell_area((i - 0.5) * r, (i + 0.5) * r,
                                       (j - 0.5) * r, (j + 0.5) * r, radius)
                 if area > 0.0:
-                    indexed[(i, j)] = mu.constant_value * area
+                    indexed[(i, j)] = mu.amplitude * area
     floor_mass = 1e-15 * total_variation(mu)
     kept = [(ij, w) for ij, w in indexed.items() if abs(w) >= floor_mass]
 
@@ -151,10 +151,10 @@ def scalar_partition(mu, r):
 
 
 EQUIVALENCE_CORPUS = [
-    (uniform_disk(1.0, 1.0), 1.0 / 16.0),
-    (uniform_disk(1.7, 0.784), 1.0 / 64.0),
-    (uniform_disk(0.5 - 0.25j, 2.0), 0.3),
-    (uniform_disk(1.0, 1.0), 2.0),
+    (UniformDisk(1.0, 1.0), 1.0 / 16.0),
+    (UniformDisk(1.7, 0.784), 1.0 / 64.0),
+    (UniformDisk(0.5 - 0.25j, 2.0), 0.3),
+    (UniformDisk(1.0, 1.0), 2.0),
     (GaussianDensity(1.0, 4.0), 1.0 / 32.0),
     (GaussianDensity(1.3, 0.8, center=0.37 - 1.21j), 0.25),
     (GaussianDensity(0.5j, 6.0, center=-2.5 + 0.5j), 1.0 / 8.0),
@@ -180,26 +180,26 @@ class TestVectorisedPartition:
     def test_same_cells_same_order(self, mu, r):
         expected = scalar_partition(mu, r)
         part = lattice_partition(mu, r)
-        centers = part.centers()
+        centers = part.cells[:, 0]
         assert centers.tolist() == [complex(i * r, j * r)
                                     for (i, j), _ in expected]
-        got = part.weights()
+        got = part.cells[:, 1]
         ref = np.array([w for _, w in expected])
         tol = 1e-12 * np.abs(ref)
-        if isinstance(mu, RadialDensity):
+        if isinstance(mu, UniformDisk):
             # the scalar loop takes an interior cell's area from corner
             # areas of order pi R^2 that cancel down to r^2
-            inside = disk_interior(centers, r, mu.support_radius)
+            inside = disk_interior(centers, r, mu.radius)
             tol[inside] = 1e-12 * total_variation(mu)
         assert np.all(np.abs(got - ref) <= tol)
 
     @pytest.mark.parametrize("radius, r", [(1.0, 1.0 / 16.0), (2.0, 0.3)])
     def test_disk_interior_cells_exact(self, radius, r):
-        mu = uniform_disk(1.7, radius)
+        mu = UniformDisk(1.7, radius)
         part = lattice_partition(mu, r)
-        inside = disk_interior(part.centers(), r, radius)
+        inside = disk_interior(part.cells[:, 0], r, radius)
         assert inside.sum() > 0
-        assert np.all(part.weights()[inside] == 1.7 * (r * r))
+        assert np.all(part.cells[:, 1][inside] == 1.7 * (r * r))
 
 
 class TestLatticeOperator:
@@ -211,7 +211,7 @@ class TestLatticeOperator:
                               direct.entries)
 
     def test_single_cell_disk_is_scaled_kernel_projection(self):
-        part = lattice_partition(uniform_disk(1.0, 1.0), 2.0)
+        part = lattice_partition(UniformDisk(1.0, 1.0), 2.0)
         op = lattice_operator(part, 32, PARAMS)
         ref = build_from_point_masses(PointMasses(((0j, math.pi),)), 32,
                                       PARAMS)
@@ -233,7 +233,7 @@ class TestRankOneRep:
         # one kernel projection per kept cell
         pair = lattice_partition(PointMasses(((0j, 1.0), (1.0, 1.0))), 1.0)
         assert len(pair.cells) == 2
-        for part in (pair, lattice_partition(uniform_disk(1.0, 1.0), 0.5)):
+        for part in (pair, lattice_partition(UniformDisk(1.0, 1.0), 0.5)):
             op = lattice_operator(part, 48, PARAMS)
             sigma = np.linalg.svd(op.entries, compute_uv=False)
             assert int(np.sum(sigma > 1e-12)) <= len(part.cells)
@@ -241,7 +241,7 @@ class TestRankOneRep:
     def test_rep_operator_matches_lattice_operator(self):
         # sum_j (alpha/pi) w_j k_j (x) k_j, with the basis coefficients
         # sqrt(alpha^n / n!) conj(c)^n e^{-alpha|c|^2/2} of the unit kernel k_c
-        part = lattice_partition(uniform_disk(1.0, 1.0), 0.5)
+        part = lattice_partition(UniformDisk(1.0, 1.0), 0.5)
         size = 32
         n = np.arange(size)
         log_norms = 0.5 * (n * math.log(PARAMS.alpha) - gammaln(n + 1.0))
@@ -290,7 +290,7 @@ class TestNuclearUpperBound:
 
     def test_lattice_bound_ceiling(self):
         pair = PointMasses(((0.3 + 0j, 1.0), (1.1j, -2.0)))
-        for mu in (delta(1.0, -2.0), pair, uniform_disk(1.0, 1.0),
+        for mu in (delta(1.0, -2.0), pair, UniformDisk(1.0, 1.0),
                    GaussianDensity(1.0, 2.0)):
             ceiling = (PARAMS.alpha / math.pi) * total_variation(mu)
             for r in (1.0, 0.25):
@@ -299,7 +299,8 @@ class TestNuclearUpperBound:
                 assert bound <= ceiling + 1e-9
                 # the bound dominates the discretized operator's trace norm
                 op = lattice_operator(part, 64, PARAMS)
-                assert schatten_norm(op, 1.0) <= bound + 1e-9, (mu, r)
+                s1 = schatten_norm(singular_values(op), 1.0)
+                assert s1 <= bound + 1e-9, (mu, r)
 
 
 class TestConvergence:
@@ -318,7 +319,7 @@ class TestConvergence:
             assert row.s1_error < 1e-12
 
     def test_disk_errors_strictly_decrease(self):
-        rows = convergence_study(uniform_disk(1.0, 1.0),
+        rows = convergence_study(UniformDisk(1.0, 1.0),
                                  [1.0, 0.5, 0.25, 0.125], 64, PARAMS)
         errors = [row.s1_error for row in rows]
         assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -352,7 +353,7 @@ class TestBerezinLatticeCheck:
         assert lattice_deviation(part, mu, [0j]) == 0.0
 
     def test_disk_deviation_below_continuity_bound(self):
-        mu = uniform_disk(1.0, 1.0)
+        mu = UniformDisk(1.0, 1.0)
         r = 0.125
         part = lattice_partition(mu, r)
         dev = lattice_deviation(part, mu, [0j, 0.5, 1j, 1 + 1j])
@@ -361,7 +362,7 @@ class TestBerezinLatticeCheck:
         assert dev <= bound
 
     def test_deviation_shrinks_with_r(self):
-        mu = uniform_disk(1.0, 1.0)
+        mu = UniformDisk(1.0, 1.0)
         samples = [0j, 0.7, 1.2j]
         devs = [lattice_deviation(lattice_partition(mu, r), mu, samples)
                 for r in (0.5, 0.25, 0.125)]
@@ -377,7 +378,7 @@ class TestRigidity:
         assert report.within_slack
 
     def test_disk_bracket_tight_and_exponent_independent(self):
-        report = rigidity_experiment(uniform_disk(1.0, 1.0),
+        report = rigidity_experiment(UniformDisk(1.0, 1.0),
                                      [(2.0, 2.0), (4.0, 2.0), (4.0, 4.0 / 3.0)],
                                      PARAMS, r=1.0 / 16.0)
         assert abs(report.upper - report.lower) <= 0.05 * report.lower

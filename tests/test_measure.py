@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from focklab import measure
-from focklab.errors import FocklabError, GridExtentError, PositivityError
+from focklab.errors import GridExtentError, PositivityError
 from focklab.fock import FockParams
 from focklab.measure import (Density, GaussianDensity, PointMasses,
-                             RadialDensity, berezin_grid, berezin_lr_constant,
+                             UniformDisk, berezin_grid, berezin_lr_constant,
                              berezin_lr_norm, berezin_measure, disk_cell_area,
-                             is_positive, require_positive, support_radius_of,
-                             total_mass, total_variation, uniform_disk)
+                             is_positive, require_positive, total_mass,
+                             total_variation)
 
 PARAMS = FockParams(alpha=1.0)
 
@@ -26,16 +26,10 @@ class TestVariants:
         np.testing.assert_allclose(mu.locations, [1j, 3.0])
         np.testing.assert_allclose(mu.weights, [2.0, -0.5])
 
-    def test_radial_requires_exactly_one_spec(self):
-        with pytest.raises(ValueError):
-            RadialDensity(profile=lambda t: t, support_radius=1.0,
-                          constant_value=1.0)
-        with pytest.raises(ValueError):
-            RadialDensity()
-
     def test_constant_disk_needs_finite_radius(self):
-        with pytest.raises(ValueError):
-            RadialDensity(support_radius=math.inf, constant_value=1.0)
+        for radius in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                UniformDisk(1.0, radius)
 
     def test_gaussian_validation(self):
         with pytest.raises(ValueError):
@@ -45,8 +39,8 @@ class TestVariants:
         assert is_positive(delta(0.5, 2.0))
         assert not is_positive(delta(0.5, -2.0))
         assert not is_positive(delta(0.5, 1j))
-        assert is_positive(uniform_disk(1.0, 2.0))
-        assert not is_positive(uniform_disk(-1.0, 2.0))
+        assert is_positive(UniformDisk(1.0, 2.0))
+        assert not is_positive(UniformDisk(-1.0, 2.0))
         assert is_positive(GaussianDensity(0.5, 1.0))
         smooth = Density(lambda w: np.ones_like(w), 1.0)
         assert not is_positive(smooth)  # callables are not trusted by default
@@ -61,7 +55,7 @@ class TestTotalVariation:
         assert total_variation(PointMasses(((0j, -2.0), (1.0, 1j)))) == pytest.approx(3.0)
 
     def test_uniform_disk_exact(self):
-        assert total_variation(uniform_disk(1.0, 1.0)) == pytest.approx(
+        assert total_variation(UniformDisk(1.0, 1.0)) == pytest.approx(
             math.pi, rel=1e-12)
 
     def test_gaussian_closed_form(self):
@@ -74,11 +68,10 @@ class TestTotalVariation:
         assert total_mass(mu) == pytest.approx(math.pi, rel=1e-10)
 
     def test_infinite_radial_support_rejected(self):
-        leb = RadialDensity(profile=lambda t: np.ones_like(t))
-        with pytest.raises(FocklabError):
-            total_variation(leb)
-        with pytest.raises(FocklabError):
-            support_radius_of(leb)
+        # Refused when the density is built, so no total variation is
+        # ever summed over an unbounded support.
+        with pytest.raises(ValueError):
+            Density(lambda w: np.ones_like(w), math.inf)
 
 
 class TestBerezinMeasure:
@@ -126,7 +119,7 @@ class TestBerezinMeasure:
              Density(lambda w: smooth(w - offset), 4.0, center=offset)),
             (GaussianDensity(2.0, 1.5),
              GaussianDensity(2.0, 1.5, center=offset)),
-            (uniform_disk(1.0, 1.0),
+            (UniformDisk(1.0, 1.0),
              Density(lambda w: np.ones(np.shape(w), dtype=complex), 1.0,
                      center=offset)),
         ]
@@ -151,7 +144,7 @@ class TestBerezinLrNorm:
         corpus = [
             delta(0j),
             PointMasses(((0j, 1.0), (2.0, 1.0))),
-            uniform_disk(1.0, 1.0),
+            UniformDisk(1.0, 1.0),
             GaussianDensity(1.0, 2.0),
             PointMasses(((1 + 1j, 0.5), (-1j, 1.5), (0.25, 2.0))),
         ]
@@ -172,7 +165,7 @@ class TestBerezinLrNorm:
 
     def test_lr_bound_for_disk_density(self):
         # r = 1 equality for this measure is the mass identity test above.
-        mu = uniform_disk(0.5, 1.5)
+        mu = UniformDisk(0.5, 1.5)
         for r in (2.0, math.inf):
             lhs = berezin_lr_norm(mu, r, PARAMS)
             rhs = berezin_lr_constant(PARAMS.alpha, r) * total_variation(mu)
@@ -204,7 +197,7 @@ class TestAdmissibility:
         assert value == pytest.approx(math.exp(-abs(w) ** 2), rel=1e-13)
 
     def test_unit_disk_value_at_origin(self):
-        value = square_kernel_integral(uniform_disk(1.0, 1.0), 0j)
+        value = square_kernel_integral(UniformDisk(1.0, 1.0), 0j)
         expected = math.pi * (1.0 - math.exp(-1.0))
         assert value == pytest.approx(expected, rel=1e-10)
 

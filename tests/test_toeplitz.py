@@ -12,8 +12,8 @@ from focklab import toeplitz
 from focklab.fock import FockParams
 from focklab.lattice import lattice_operator, lattice_partition
 from focklab.measure import (Density, GaussianDensity, PointMasses,
-                             RadialDensity, berezin_measure, density_values,
-                             is_positive, total_mass, uniform_disk)
+                             UniformDisk, berezin_measure, density_values,
+                             is_positive, total_mass)
 from focklab.numerics import polar_grid
 from focklab.toeplitz import (_TAIL_TOL, HankelMatrix, TruncatedOperator,
                               _pairing_matrix, _quadrature_grid,
@@ -22,8 +22,8 @@ from focklab.toeplitz import (_TAIL_TOL, HankelMatrix, TruncatedOperator,
                               berezin_operator, build_from_density,
                               build_from_measure, build_from_point_masses,
                               build_hankel, identity_operator, schatten_norm,
-                              trace, trace_pairing, trace_via_berezin,
-                              transform_l1_norm)
+                              singular_values, trace, trace_pairing,
+                              trace_via_berezin, transform_l1_norm)
 
 PARAMS = FockParams(alpha=1.0)
 
@@ -37,7 +37,7 @@ def corpus():
         delta(0j),
         delta(1.5 + 0.5j),
         PointMasses(((0j, 1.0), (1.0, 1.0))),
-        uniform_disk(1.0, 1.0),
+        UniformDisk(1.0, 1.0),
         GaussianDensity(1.0, 2.0),
         GaussianDensity(0.5, 1.0, center=0.8j),
         Density(lambda w: np.exp(-np.abs(w) ** 2) * (1 + 0.4 * w.real), 5.0),
@@ -82,8 +82,8 @@ class TestPointMassBuilder:
         assert trace(op).real == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
-def radial(profile, support_radius=math.inf):
-    return RadialDensity(profile=profile, support_radius=support_radius)
+def radial(profile, support_radius=100.0):
+    return Density(lambda z: profile(np.abs(z)), support_radius)
 
 
 class TestRadialBuilder:
@@ -116,7 +116,7 @@ class TestDensityBuilder:
     def test_radial_density_matches_dedicated_path(self):
         # the disk a 1_{|w| <= R} has diagonal a P(n + 1, alpha R^2) and no
         # other entries: every ring carries only angular frequency 0
-        op = build_from_density(uniform_disk(0.7, 1.0), 48, PARAMS)
+        op = build_from_density(UniformDisk(0.7, 1.0), 48, PARAMS)
         expected = 0.7 * gammainc(np.arange(48) + 1, 1.0)
         assert np.max(np.abs(np.diagonal(op.entries) - expected)) < 4e-15
         assert np.array_equal(op.entries, np.diag(np.diagonal(op.entries)))
@@ -132,7 +132,7 @@ class TestDensityBuilder:
 
     def test_large_disk_diagonal_approaches_identity(self):
         # Basis mass outside radius 12 is below 1e-12 for the first 32 modes.
-        op = build_from_measure(uniform_disk(1.0, 12.0), 32, PARAMS)
+        op = build_from_measure(UniformDisk(1.0, 12.0), 32, PARAMS)
         assert np.max(np.abs(np.diagonal(op.entries) - 1.0)) < 1e-12
 
     def test_angular_selection_single_band(self):
@@ -166,7 +166,7 @@ class TestHankelBuilder:
         assert np.max(np.abs(h.entries - expected)) < 1e-14
 
     def test_radial_measure_keeps_only_corner(self):
-        h = build_hankel(uniform_disk(1.0, 1.0), 24, PARAMS)
+        h = build_hankel(UniformDisk(1.0, 1.0), 24, PARAMS)
         assert h.entries[0, 0].real == pytest.approx(1.0 - 1.0 / math.e,
                                                      rel=1e-12)
         rest = h.entries.copy()
@@ -248,7 +248,7 @@ class TestTrace:
                 assert rim <= 1.01e-13 < _TAIL_TOL, (size, alpha, rim)
 
     def test_truncation_monotonicity(self):
-        for mu in (delta(0.25), uniform_disk(1.0, 1.5), GaussianDensity(1.0, 0.5)):
+        for mu in (delta(0.25), UniformDisk(1.0, 1.5), GaussianDensity(1.0, 0.5)):
             assert is_positive(mu)
             bound = (PARAMS.alpha / math.pi) * total_mass(mu).real
             previous = 0.0
@@ -262,25 +262,27 @@ class TestTrace:
 class TestSchatten:
 
     def test_psd_trace_norm_is_trace(self):
-        op = build_from_measure(uniform_disk(1.0, 1.0), 64, PARAMS)
-        assert schatten_norm(op, 1.0) == pytest.approx(trace(op).real,
-                                                       abs=1e-9)
+        op = build_from_measure(UniformDisk(1.0, 1.0), 64, PARAMS)
+        sigma = singular_values(op)
+        assert schatten_norm(sigma, 1.0) == pytest.approx(trace(op).real,
+                                                          abs=1e-9)
 
     def test_rank_one_kernel_projector_norm(self):
         for w in (0j, 1.0, 2j, 1.4 + 1.4j):
             op = build_from_point_masses(delta(w), 64, PARAMS)
-            assert schatten_norm(op, 1.0) == pytest.approx(1.0 / math.pi,
-                                                           abs=1e-10)
+            sigma = singular_values(op)
+            assert schatten_norm(sigma, 1.0) == pytest.approx(1.0 / math.pi,
+                                                              abs=1e-10)
 
     def test_identity_trace_norm_counts_modes(self):
-        op = identity_operator(48, PARAMS)
-        assert schatten_norm(op, 1.0) == pytest.approx(48.0, rel=1e-12)
-        assert schatten_norm(op, math.inf) == pytest.approx(1.0, rel=1e-12)
+        sigma = singular_values(identity_operator(48, PARAMS))
+        assert schatten_norm(sigma, 1.0) == pytest.approx(48.0, rel=1e-12)
+        assert schatten_norm(sigma, math.inf) == pytest.approx(1.0, rel=1e-12)
 
     def test_order_below_one_rejected(self):
         op = identity_operator(4, PARAMS)
         with pytest.raises(ValueError):
-            schatten_norm(op, 0.5)
+            schatten_norm(singular_values(op), 0.5)
 
     def test_adjoint_pair_equal(self):
         for mu in corpus():
@@ -311,27 +313,27 @@ class TestTransformL1Bound:
         for mu in corpus():
             op = build_from_measure(mu, 64, PARAMS)
             lhs = transform_l1_norm(op)
-            rhs = schatten_norm(op, 1.0)
+            rhs = schatten_norm(singular_values(op), 1.0)
             assert lhs <= rhs * (1.0 + 1e-10), mu
 
 
 class TestTracePairing:
 
     def test_identity_against_unit_disk(self):
-        matrix_side, quad_side = trace_pairing(uniform_disk(1.0, 1.0),
+        matrix_side, quad_side = trace_pairing(UniformDisk(1.0, 1.0),
                                                identity_operator(64, PARAMS))
         assert matrix_side.real == pytest.approx(1.0, rel=1e-10)
         assert quad_side.real == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_operator(self):
         zero = TruncatedOperator(np.zeros((32, 32), dtype=complex), 32, PARAMS)
-        matrix_side, quad_side = trace_pairing(uniform_disk(1.0, 1.0), zero)
+        matrix_side, quad_side = trace_pairing(UniformDisk(1.0, 1.0), zero)
         assert matrix_side == 0.0
         assert quad_side == 0.0
 
     def test_delta_operator_against_disk(self):
         op = build_from_point_masses(delta(0j), 64, PARAMS)
-        matrix_side, quad_side = trace_pairing(uniform_disk(1.0, 2.0), op)
+        matrix_side, quad_side = trace_pairing(UniformDisk(1.0, 2.0), op)
         expected = (1.0 - math.exp(-4.0)) / math.pi
         assert matrix_side.real == pytest.approx(expected, rel=1e-10)
         assert quad_side.real == pytest.approx(expected, rel=1e-10)
@@ -343,6 +345,17 @@ class TestTracePairing:
             matrix_side, quad_side = trace_pairing(phi, op)
             assert abs(matrix_side - quad_side) <= 1e-6 * max(
                 1e-30, abs(matrix_side)), mu
+
+    def test_every_density_kind_answers(self):
+        identity = identity_operator(64, PARAMS)
+        for phi in (Density(lambda w: np.exp(-np.abs(w - 0.3) ** 2), 4.0,
+                            center=0.3),
+                    UniformDisk(1.0, 1.5),
+                    GaussianDensity(1.0, 8.0)):
+            matrix_side, quad_side = trace_pairing(phi, identity)
+            expected = (PARAMS.alpha / math.pi) * total_mass(phi)
+            assert matrix_side == pytest.approx(expected, rel=1e-6), phi
+            assert quad_side == pytest.approx(matrix_side, rel=1e-6), phi
 
     def test_unbounded_support_rejected(self):
         with pytest.raises(FocklabError):
@@ -474,12 +487,12 @@ class TestChunkedPairing:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
-        ref = dense_pairing(part.centers(), part.weights(), 64)
+        ref = dense_pairing(part.cells[:, 0], part.cells[:, 1], 64)
         assert np.max(np.abs(op.entries - ref)) <= 1e-15 * np.linalg.norm(ref)
 
     def test_far_lattice_cells_with_negligible_mass_pass(self):
         part = lattice_partition(GaussianDensity(1.0, 4.0), 0.25)
-        tails = gammainc(24, np.abs(part.centers()) ** 2)
+        tails = gammainc(24, np.abs(part.cells[:, 0]) ** 2)
         assert tails.max() > _TAIL_TOL
         op = lattice_operator(part, 24, PARAMS)
         discretized = sum(w for _, w in part.cells)
