@@ -293,17 +293,56 @@ def _bounded(config: RunConfig, name: str, value: float) -> dict:
     return _check(name, value, tol, value <= tol)
 
 
+def _json_matrix(entries: np.ndarray) -> str:
+    """json.dumps(indent=2) of a complex matrix as [[[re, im], ...], ...],
+    as the value of a key in a report's data block.
+
+    One %-format over tolist() writes every float by repr, as json does.
+    """
+    rows, cols = entries.shape
+    pair = "        [\n          %r,\n          %r\n        ]"
+    row = "      [\n" + ",\n".join([pair] * cols) + "\n      ]"
+    template = "[\n" + ",\n".join([row] * rows) + "\n    ]"
+    return template % tuple(entries.view(float).ravel().tolist())
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """json.dumps(report, indent=2) and a newline.
+
+    A matrix report's entries stand in the envelope as a placeholder
+    string, which _json_matrix's text then replaces.
+    """
+    entries = report["data"].get("entries")
+    if not isinstance(entries, np.ndarray):
+        return json.dumps(report, indent=2) + "\n"
+    envelope = dict(report, data=dict(report["data"], entries="\0"))
+    return json.dumps(envelope, indent=2).replace(
+        '"\\u0000"', _json_matrix(entries), 1) + "\n"
+
+
+def _csv_matrix(entries: np.ndarray) -> str:
+    """Rows m,n,re,im of a complex matrix, floats by repr, row-major."""
+    rows, cols = entries.shape
+    table = np.empty((entries.size, 4))
+    table[:, 0] = np.repeat(np.arange(rows), cols)
+    table[:, 1] = np.tile(np.arange(cols), rows)
+    table[:, 2:] = entries.view(float).reshape(-1, 2)
+    return "\n".join(["%d,%d,%r,%r"] * entries.size) % tuple(
+        table.ravel().tolist())
 
 
 def render_csv(report: dict, header, rows) -> str:
+    """Comment line, header and rows; ``rows`` is a sequence of tuples or
+    a complex matrix written one entry a row."""
     lines = [f"# focklab {report['version']} "
              f"config_sha256={report['config_sha256']}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    if isinstance(rows, np.ndarray):
+        lines.append(_csv_matrix(rows))
+    else:
+        for row in rows:
+            lines.append(",".join(repr(v) if isinstance(v, float)
+                                  else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -334,36 +373,32 @@ def run_berezin(config: RunConfig, seed):
 
 
 def _matrix_report(op):
+    """Data block holding the frozen entries, and the CSV table: the same
+    matrix, one entry a row."""
     entries = op.entries
     tr = np.trace(entries)
-    return {
+    data = {
         "truncation": int(op.truncation),
         "trace_re": float(tr.real),
         "trace_im": float(tr.imag),
-        "entries": [[[float(v.real), float(v.imag)] for v in row]
-                    for row in entries],
+        "entries": entries,
     }
-
-
-def _matrix_rows(entries):
-    """CSV header and a lazy row generator, so JSON reports build no table."""
-    rows = ((m, n, float(v.real), float(v.imag))
-            for (m, n), v in np.ndenumerate(entries))
-    return ("m", "n", "re", "im"), rows
+    return data, (("m", "n", "re", "im"), entries)
 
 
 def run_toeplitz(config: RunConfig, seed):
     op = build_from_measure(config.require_measure(), config.truncation,
                             config.params())
-    data = _matrix_report(op)
+    data, table = _matrix_report(op)
     data["provenance"] = op.provenance
-    return data, _matrix_rows(op.entries), []
+    return data, table, []
 
 
 def run_hankel(config: RunConfig, seed):
     mat = build_hankel(config.require_measure(), config.truncation,
                        config.params())
-    return _matrix_report(mat), _matrix_rows(mat.entries), []
+    data, table = _matrix_report(mat)
+    return data, table, []
 
 
 def run_trace_check(config: RunConfig, seed):
@@ -394,7 +429,7 @@ def run_schatten(config: RunConfig, seed):
     op = build_from_measure(config.require_measure(), config.truncation,
                             config.params())
     sigma = singular_values(op)
-    s1, s1_adjoint = adjoint_isometry_check(op)
+    s1, s1_adjoint = adjoint_isometry_check(op, sigma)
     l1 = transform_l1_norm(op)
     data = {
         "schatten_1": float(s1),
@@ -553,9 +588,19 @@ SUBCOMMANDS = {
 
 
 def _nonfinite_path(value):
-    """Path below ``value`` of its first NaN or infinite float, else None."""
+    """Path below ``value`` of its first NaN or infinite float, else None.
+
+    A complex matrix is searched as its [[[re, im]]] nesting.
+    """
     if isinstance(value, float):
         return None if math.isfinite(value) else ""
+    if isinstance(value, np.ndarray):
+        floats = value.view(float).reshape(value.shape + (2,))
+        bad = np.flatnonzero(~np.isfinite(floats))
+        if not bad.size:
+            return None
+        return "".join(f"[{i}]"
+                       for i in np.unravel_index(bad[0], floats.shape))
     if isinstance(value, dict):
         keyed = value.items()
     elif isinstance(value, (list, tuple)):

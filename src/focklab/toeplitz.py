@@ -18,12 +18,13 @@ from numpy.fft import fft, ifft
 from .errors import FocklabError, QuadratureError, TruncationError
 from .fock import FockParams
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
-                      density_values, support_radius_of)
-from .numerics import (PolarGrid, complex_fsum, log_poisson, polar_grid,
-                       regularized_gamma, tail_radius)
+                      UniformDisk, density_values, support_radius_of)
+from .numerics import (PolarGrid, complex_fsum, log_factorial, log_poisson,
+                       polar_grid, regularized_gamma, tail_radius)
 
 _TAIL_TOL = 1e-12
 _REFINE_TOL = 1e-8
+_FLOAT_MAX = float(np.finfo(float).max)
 # basis samples one block of a point or cell pairing holds
 _PAIRING_CHUNK_BYTES = 4 * 2 ** 20
 
@@ -240,25 +241,132 @@ def build_from_density(mu, size: int, params: FockParams) -> TruncatedOperator:
     return TruncatedOperator(entries, size, params, provenance=provenance)
 
 
+def _gaussian_moments(mu: GaussianDensity, alpha: float):
+    """(alpha/g, d scaled by a power of two, x, s) for a e^{-beta|w - c|^2}.
+
+    With g = alpha + beta and d = beta c / g, completing the square gives
+    e^{-alpha|w|^2 - beta|w - c|^2} = e^{-g|w - d|^2 - alpha beta|c|^2/g},
+    so every pairing integral is a Gaussian mean about d.  x = alpha|d|^2
+    and s = alpha^2 beta|c|^2 / g^2, taken as alpha|d| |c| (alpha/g) so
+    that no product of an overflow and an underflow meets.  The power of
+    two keeps |d| finite for _unit_power and leaves its phase exact.
+    """
+    c = mu.center
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.float64(mu.beta) / alpha
+        share = float(1.0 / (1.0 + ratio))
+        d = c / float(1.0 + 1.0 / ratio)
+    modulus = math.hypot(d.real, d.imag)
+    x = min(alpha * modulus * modulus, _FLOAT_MAX)
+    s = alpha * modulus * (math.hypot(c.real, c.imag) * share)
+    exponent = math.frexp(max(abs(d.real), abs(d.imag)))[1]
+    unit = complex(math.ldexp(d.real, -exponent),
+                   math.ldexp(d.imag, -exponent))
+    return share, unit, x, s
+
+
+def _gaussian_toeplitz(mu: GaussianDensity, size: int,
+                       alpha: float) -> np.ndarray:
+    """Toeplitz matrix of a e^{-beta|w - c|^2}: T = a conj(B) B^T.
+
+    Expanding conj(w)^m w^n about d leaves the lower triangular
+    B[n, k] = sqrt(alpha e^{-alpha beta|c|^2/g} alpha^n n! / (k! g^{k+1}))
+    d^{n-k} / (n - k)!, whose modulus squared is
+    (alpha/g)^{k+1} C(n, k) Pois(n - k; x) e^{-s}.  Each is a term of the
+    positive sum T[n, n] / a <= 1, so none overflows in log space.  The
+    phases of conj(B[m, k]) B[n, k] multiply to (d/|d|)^{n-m} whatever k
+    is, so T = a (M M^T) (d/|d|)^{n-m} with M = |B| real.
+    """
+    share, unit, x, s = _gaussian_moments(mu, alpha)
+    n = np.arange(size)
+    below = n[:, None] - n[None, :]
+    lower = below >= 0
+    j = np.where(lower, below, 0)
+    log_fact = log_factorial(n)
+    with np.errstate(divide="ignore"):
+        log_share = np.log(share)
+    log_b2 = ((n[None, :] + 1) * log_share + log_fact[:, None]
+              - log_fact[None, :] - log_fact[j] + log_poisson(n, x)[j] - s)
+    moduli = np.where(lower, np.exp(0.5 * log_b2), 0.0)
+    phase = _unit_power(np.full(size, unit), n)
+    phase = np.concatenate((np.conj(phase[:0:-1]), phase))
+    return mu.amplitude * ((moduli @ moduli.T) * phase[size - 1 - below])
+
+
+def _gaussian_hankel(mu: GaussianDensity, size: int,
+                     alpha: float) -> np.ndarray:
+    """Hankel matrix of a e^{-beta|w - c|^2}: the rank one a (alpha/g) u u^T.
+
+    The Gaussian mean of the holomorphic w^{m+n} about d is d^{m+n}, so
+    u_n = sqrt(Pois(n; x) e^{-s}) (d/|d|)^n.  Moduli and phases are each
+    indexed symmetrically in (m, n), so the matrix is exactly symmetric;
+    at d = 0 it is exactly a (alpha/g) e_0 e_0^T.
+    """
+    share, unit, x, s = _gaussian_moments(mu, alpha)
+    n = np.arange(size)
+    moduli = np.exp(0.5 * (log_poisson(n, x) - s))
+    phase = _unit_power(np.full(2 * size - 1, unit), np.arange(2 * size - 1))
+    outer = np.multiply.outer(moduli, moduli)
+    return (mu.amplitude * share) * (outer * phase[n[:, None] + n[None, :]])
+
+
+def _disk_diagonal(mu: UniformDisk, size: int, alpha: float) -> np.ndarray:
+    """P(n + 1, X) for n < N, X = alpha R^2: the disk's Toeplitz diagonal.
+
+    P(a, X) = sum_{m >= a} Pois(m; X) is summed up from P(N, X) where
+    X < a, and 1 - P = sum_{m < a} Pois(m; X) up from m = 0 elsewhere, so
+    each tail is added from its small end, as regularized_gamma does.
+    """
+    x = min(alpha * mu.radius * mu.radius, _FLOAT_MAX)
+    pois = np.exp(log_poisson(np.arange(size), x))
+    top = float(regularized_gamma(size, x)[0])
+    upper = np.cumsum(np.concatenate(([top], pois[:0:-1])))[::-1]
+    return np.where(x < np.arange(1, size + 1), upper, 1.0 - np.cumsum(pois))
+
+
 def build_from_measure(mu: MeasureSymbol, size: int,
                        params: FockParams) -> TruncatedOperator:
-    """Toeplitz matrix for any measure: point masses or a density."""
+    """Toeplitz matrix for any measure.
+
+    Point masses and the Gaussian and disk densities are exact; any other
+    density goes through build_from_density's quadrature.
+    """
+    alpha = params.alpha
     if isinstance(mu, PointMasses):
         return build_from_point_masses(mu, size, params)
+    if isinstance(mu, GaussianDensity):
+        entries = _gaussian_toeplitz(mu, size, alpha)
+        return TruncatedOperator(entries, size, params,
+                                 provenance="closed-form(gaussian)")
+    if isinstance(mu, UniformDisk):
+        entries = np.diag(mu.amplitude * _disk_diagonal(mu, size, alpha))
+        return TruncatedOperator(entries, size, params,
+                                 provenance="closed-form(disk)")
     return build_from_density(mu, size, params)
 
 
 def build_hankel(mu: MeasureSymbol, size: int,
                  params: FockParams) -> HankelMatrix:
-    """Bilinear (small Hankel) pairing matrix of the measure."""
+    """Bilinear (small Hankel) pairing matrix of the measure.
+
+    A disk a 1_{|w| <= R} pairs z^{m+n} to zero on every circle unless
+    m = n = 0, which leaves a (1 - e^{-alpha R^2}).
+    """
+    alpha = params.alpha
+    if isinstance(mu, GaussianDensity):
+        return HankelMatrix(_gaussian_hankel(mu, size, alpha), size, params)
+    if isinstance(mu, UniformDisk):
+        entries = np.zeros((size, size), dtype=complex)
+        x = alpha * mu.radius * mu.radius
+        entries[0, 0] = -mu.amplitude * math.expm1(-x)
+        return HankelMatrix(entries, size, params)
     if isinstance(mu, PointMasses):
-        entries = _pairing_matrix(mu.locations, mu.weights, size,
-                                  params.alpha, conjugate_output=False)
+        entries = _pairing_matrix(mu.locations, mu.weights, size, alpha,
+                                  conjugate_output=False)
     else:
         grid = _quadrature_grid(size, params, _density_support(mu))
-        entries = _ring_pairing(mu, grid, size, params.alpha, bilinear=True)
-    entries = 0.5 * (entries + entries.T)
-    return HankelMatrix(entries, size, params)
+        entries = _ring_pairing(mu, grid, size, alpha, bilinear=True)
+    return HankelMatrix(0.5 * (entries + entries.T), size, params)
 
 
 def basis_tail_mass(size: int, alpha: float, z) -> np.ndarray:
@@ -348,11 +456,19 @@ def schatten_norm(sigma: np.ndarray, s: float) -> float:
     return math.fsum(sigma ** s) ** (1.0 / s)
 
 
-def adjoint_isometry_check(op: TruncatedOperator) -> tuple[float, float]:
-    """Trace norms of the operator and its adjoint (equal in exact arithmetic)."""
+def adjoint_isometry_check(op: TruncatedOperator,
+                           sigma: np.ndarray | None = None
+                           ) -> tuple[float, float]:
+    """Trace norms of the operator and its adjoint (equal in exact arithmetic).
+
+    ``sigma``, the operator's singular values if the caller has them, saves
+    one decomposition; the adjoint's are always computed.
+    """
+    if sigma is None:
+        sigma = singular_values(op)
     adj = TruncatedOperator(op.entries.conj().T, op.truncation, op.params,
                             provenance=f"adjoint[{op.provenance}]")
-    return (schatten_norm(singular_values(op), 1.0),
+    return (schatten_norm(sigma, 1.0),
             schatten_norm(singular_values(adj), 1.0))
 
 

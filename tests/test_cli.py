@@ -1,6 +1,7 @@
 """Command-line behavior: config validation, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -9,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focklab.cli import build_measure, main, parse_config
+from focklab import cli
+from focklab.cli import (build_measure, main, parse_config, render_csv,
+                         render_json)
 from focklab.errors import ConfigError
 from focklab.fock import FockParams
 from focklab.measure import GaussianDensity, PointMasses, UniformDisk
-from focklab.toeplitz import build_from_measure, build_hankel
+from focklab.toeplitz import (TruncatedOperator, build_from_measure,
+                              build_hankel)
 
 
 MINIMAL = ('{"alpha": 1, "measure": {"type": "point_masses", '
@@ -459,6 +463,77 @@ class TestRoundTrip:
         op = build_from_measure(PointMasses(((0.5 + 0.5j, 0.5), (0j, 1.0))), 16,
                                 self.PARAMS)
         assert np.array_equal(entries, op.entries)
+
+
+def awkward_matrix(size, seed):
+    """Random complex entries, overwritten in places by floats whose repr
+    is awkward: signed zeros, subnormals, and values either side of the
+    switches to exponent form near 1e16 and 1e-4."""
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    awkward = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.99e-5,
+               1e-4, 1e16, 9999999999999998.0, 1.2345678901234567e16, -1e22,
+               0.1 + 0.2]
+    entries.real.flat[:len(awkward)] = awkward
+    entries.imag.flat[-len(awkward):] = awkward
+    entries.flat[size + 1] = 0j
+    entries.flat[size + 2] = complex(-0.0, -0.0)
+    entries.setflags(write=False)
+    return entries
+
+
+def matrix_report(entries):
+    tr = np.trace(entries)
+    return {"subcommand": "toeplitz", "version": "0", "config_sha256": "0",
+            "seed": None,
+            "data": {"truncation": entries.shape[0],
+                     "trace_re": float(tr.real), "trace_im": float(tr.imag),
+                     "entries": entries, "provenance": "test"},
+            "checks": [], "passed": True}
+
+
+class TestMatrixRendering:
+    """Matrix payloads written from the array, byte for byte as json.dumps
+    and the row-by-row CSV join write them from Python floats."""
+
+    @pytest.mark.parametrize("size", [8, 64, 128])
+    def test_json_matches_json_dumps(self, size):
+        entries = awkward_matrix(size, size)
+        report = matrix_report(entries)
+        listed = dict(report, data=dict(report["data"], entries=[
+            [[float(v.real), float(v.imag)] for v in row]
+            for row in entries]))
+        assert render_json(report) == json.dumps(listed, indent=2) + "\n"
+
+    @pytest.mark.parametrize("size", [8, 64, 128])
+    def test_csv_matches_row_join(self, size):
+        entries = awkward_matrix(size, size + 1)
+        report = matrix_report(entries)
+        lines = ["# focklab 0 config_sha256=0", "m,n,re,im"]
+        lines += [",".join((str(m), str(n), repr(float(v.real)),
+                            repr(float(v.imag))))
+                  for (m, n), v in np.ndenumerate(entries)]
+        text = render_csv(report, ("m", "n", "re", "im"), entries)
+        assert text == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("command", ["toeplitz", "hankel"])
+    def test_nonfinite_entry_named(self, tmp_path, capsys, monkeypatch,
+                                   command):
+        entries = np.zeros((8, 8), dtype=complex)
+        entries[2, 3] = complex(0.5, math.nan)
+        entries[3, 2] = complex(0.5, math.nan)
+        entries[5, 6] = entries[6, 5] = complex(math.inf, 0.0)
+
+        def build(mu, size, params):
+            return TruncatedOperator(entries, size, params)
+
+        monkeypatch.setattr(cli, "build_from_measure", build)
+        monkeypatch.setattr(cli, "build_hankel", build)
+        path = write(tmp_path, "g.json", GAUSS)
+        assert_exit_two(capsys, [command, "--config", path,
+                                 "--truncation", "8"],
+                        "NonFiniteError: data.entries[2][3][1]: "
+                        "not a finite float")
 
 
 class TestSubcommands:

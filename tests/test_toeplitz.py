@@ -357,8 +357,12 @@ class TestTracePairing:
             assert matrix_side == pytest.approx(expected, rel=1e-6), phi
             assert quad_side == pytest.approx(matrix_side, rel=1e-6), phi
 
-    def test_unbounded_support_rejected(self):
-        with pytest.raises(FocklabError):
+    def test_basis_tail_over_support_refused(self):
+        # the Gaussian's grid reaches radius 6.4, where the kernel keeps
+        # all of its basis mass past N = 16
+        with pytest.raises(TruncationError,
+                           match="kernel basis tail .* over the symbol "
+                                 "support"):
             trace_pairing(GaussianDensity(1.0, 1.0),
                           identity_operator(16, PARAMS))
 
@@ -498,3 +502,170 @@ class TestChunkedPairing:
         discretized = sum(w for _, w in part.cells)
         assert trace(op).real == pytest.approx(discretized.real / math.pi,
                                                rel=1e-12)
+
+
+def mp_gaussian_moments(mu, alpha):
+    """(a, alpha/g, d, e^{-alpha beta |c|^2 / g}) at the working precision."""
+    a = mpmath.mpc(mu.amplitude.real, mu.amplitude.imag)
+    alpha, beta = mpmath.mpf(alpha), mpmath.mpf(mu.beta)
+    c = mpmath.mpc(mu.center.real, mu.center.imag)
+    g = alpha + beta
+    return a, alpha / g, beta * c / g, mpmath.exp(-alpha * beta * abs(c) ** 2
+                                                  / g)
+
+
+def mp_gaussian_toeplitz(mu, alpha, size, rows):
+    """Rows of T[m, n] = (alpha/pi) int conj(e_m) e_n e^{-alpha|w|^2} dmu.
+
+    Expanding conj(w)^m w^n about d and integrating the Gaussian moments
+    term by term gives T[m, n] = a alpha e^{-alpha beta|c|^2/g}
+    sqrt(alpha^{m+n} m! n!) sum_k conj(d)^{m-k} d^{n-k}
+    / ((m-k)! (n-k)! k! g^{k+1}), here at 50 digits.
+    """
+    with mpmath.workdps(50):
+        a, share, d, damp = mp_gaussian_moments(mu, alpha)
+        g = mpmath.mpf(alpha) / share
+        fact = [mpmath.factorial(n) for n in range(size)]
+        right = [d ** j / fact[j] for j in range(size)]
+        left = [mpmath.conj(v) for v in right]
+        inner = [1 / (fact[k] * g ** (k + 1)) for k in range(size)]
+        coeff = [mpmath.sqrt(mpmath.mpf(alpha) ** n * fact[n])
+                 for n in range(size)]
+        out = {}
+        for m in rows:
+            for n in range(size):
+                total = mpmath.fsum(left[m - k] * right[n - k] * inner[k]
+                                    for k in range(min(m, n) + 1))
+                out[m, n] = complex(a * alpha * damp * coeff[m] * coeff[n]
+                                    * total)
+    return out
+
+
+def mp_gaussian_hankel(mu, alpha, size):
+    """H[m, n] = a (alpha/g) e^{-alpha beta|c|^2/g} v_m v_n,
+    v_n = sqrt(alpha^n / n!) d^n: the Gaussian mean of w^{m+n} about d."""
+    with mpmath.workdps(50):
+        a, share, d, damp = mp_gaussian_moments(mu, alpha)
+        v = [mpmath.sqrt(mpmath.mpf(alpha) ** n / mpmath.factorial(n)) * d ** n
+             for n in range(size)]
+        return np.array([[complex(a * share * damp * v[m] * v[n])
+                          for n in range(size)] for m in range(size)])
+
+
+def mp_disk_diagonal(mu, alpha, size):
+    """a P(n + 1, alpha R^2) for n < size, at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(alpha) * mpmath.mpf(mu.radius) ** 2
+        return np.array([complex(mu.amplitude * mpmath.gammainc(
+            n + 1, 0, x, regularized=True)) for n in range(size)])
+
+
+def as_density(mu):
+    """The same measure as a generic Density, for the quadrature route."""
+    if isinstance(mu, UniformDisk):
+        return Density(lambda w: np.full(w.shape, mu.amplitude), mu.radius)
+    return Density(lambda w: mu.amplitude
+                   * np.exp(-mu.beta * np.abs(w - mu.center) ** 2),
+                   mu.effective_radius(1e-18), center=mu.center)
+
+
+CLOSED_FORM_GAUSSIANS = [
+    # d = 0: diagonal Toeplitz, Hankel e_0 e_0^T
+    GaussianDensity(1.3, 2.0),
+    # complex amplitude off the origin
+    GaussianDensity(0.7 - 0.4j, 0.6, center=-0.9 + 1.2j),
+    # far centre: alpha|d|^2 = 400 lies well past N; entries reach 1e-195
+    GaussianDensity(1.0, 9.0, center=(16.0 + 12.0j) * 10.0 / 9.0),
+]
+CLOSED_FORM_DISKS = [UniformDisk(0.8, 1.3), UniformDisk(1.1 + 0.5j, 9.0)]
+
+
+def assert_close(got, ref, rel):
+    """Entrywise |got - ref| <= rel |ref|, with a floor at the subnormals."""
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= rel * np.abs(ref) + 1e-300)
+
+
+class TestClosedForms:
+    """Gaussian and disk matrices against 50-digit references and against
+    the quadrature route on the equivalent Density."""
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("mu", CLOSED_FORM_GAUSSIANS,
+                             ids=["centred", "complex", "far"])
+    def test_gaussian_toeplitz_matches_mpmath(self, mu, size):
+        op = build_from_measure(mu, size, PARAMS)
+        assert op.provenance == "closed-form(gaussian)"
+        rows = (0, 1, size // 3, size - 1)
+        ref = mp_gaussian_toeplitz(mu, PARAMS.alpha, size, rows)
+        for m in rows:
+            assert_close(op.entries[m], [ref[m, n] for n in range(size)],
+                         1e-12)
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("mu", CLOSED_FORM_GAUSSIANS,
+                             ids=["centred", "complex", "far"])
+    def test_gaussian_hankel_matches_mpmath(self, mu, size):
+        h = build_hankel(mu, size, PARAMS)
+        assert_close(h.entries, mp_gaussian_hankel(mu, PARAMS.alpha, size),
+                     1e-12)
+        assert np.array_equal(h.entries, h.entries.T)
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("mu", CLOSED_FORM_DISKS, ids=["small", "wide"])
+    def test_disk_matches_mpmath(self, mu, size):
+        op = build_from_measure(mu, size, PARAMS)
+        assert op.provenance == "closed-form(disk)"
+        ref = mp_disk_diagonal(mu, PARAMS.alpha, size)
+        assert_close(np.diagonal(op.entries), ref, 1e-13)
+        assert np.array_equal(op.entries, np.diag(np.diagonal(op.entries)))
+        h = build_hankel(mu, size, PARAMS)
+        with mpmath.workdps(50):
+            corner = complex(mu.amplitude * -mpmath.expm1(
+                -mpmath.mpf(mu.radius) ** 2))
+        assert_close(h.entries[0, 0], corner, 1e-15)
+        rest = h.entries.copy()
+        rest[0, 0] = 0.0
+        assert not np.any(rest)
+
+    def test_centred_gaussian_is_exactly_diagonal(self):
+        mu = GaussianDensity(1.3, 2.0)
+        op = build_from_measure(mu, 64, PARAMS)
+        expected = 1.3 * (1.0 / 3.0) ** (np.arange(64) + 1)
+        assert np.max(np.abs(np.diagonal(op.entries) - expected)
+                      / expected) < 1e-13
+        assert np.array_equal(op.entries, np.diag(np.diagonal(op.entries)))
+        h = build_hankel(mu, 64, PARAMS)
+        assert h.entries[0, 0] == pytest.approx(1.3 / 3.0, rel=1e-15)
+        rest = h.entries.copy()
+        rest[0, 0] = 0.0
+        assert not np.any(rest)
+
+    @pytest.mark.parametrize("mu", CLOSED_FORM_GAUSSIANS[:2]
+                             + CLOSED_FORM_DISKS,
+                             ids=["centred", "complex", "small", "wide"])
+    def test_quadrature_route_agrees(self, mu):
+        quad = build_from_density(as_density(mu), 64, PARAMS)
+        assert quad.provenance.startswith("2d-quadrature")
+        exact = build_from_measure(mu, 64, PARAMS)
+        assert np.max(np.abs(exact.entries - quad.entries)) < 2e-14
+        grid = _quadrature_grid(64, PARAMS, toeplitz._density_support(mu))
+        ring = _ring_pairing(mu, grid, 64, PARAMS.alpha, bilinear=True)
+        exact = build_hankel(mu, 64, PARAMS).entries
+        assert np.max(np.abs(exact - ring)) < 2e-14
+
+    @pytest.mark.parametrize("alpha, mu", [
+        (1.0, GaussianDensity(1.0, 1.0, center=1e150 - 1e150j)),
+        (1.0, GaussianDensity(1.0, 1.0, center=1.5e308 + 1.5e308j)),
+        (1e-300, GaussianDensity(1.0, 1e300, center=3.0)),
+        (1e300, GaussianDensity(1.0, 1e-300, center=3.0)),
+        (1e300, GaussianDensity(1.0, 1e-300)),
+        (1.0, UniformDisk(1.0, 1e154)),
+    ])
+    def test_extreme_parameters_stay_finite(self, alpha, mu):
+        params = FockParams(alpha=alpha)
+        with np.errstate(over="raise", invalid="raise"):
+            op = build_from_measure(mu, 16, params)
+            h = build_hankel(mu, 16, params)
+        assert np.all(np.isfinite(op.entries))
+        assert np.all(np.isfinite(h.entries))
