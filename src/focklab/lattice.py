@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import FocklabError, ResourceError
 from .fock import FockParams, conjugate_exponent, kernel_grid, norm
@@ -20,7 +19,7 @@ from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       UniformDisk, berezin_lr_norm, density_values,
                       disk_cell_area, require_positive, support_radius_of,
                       total_variation)
-from .numerics import complex_fsum, erf
+from .numerics import complex_fsum, erf, gauss_legendre
 from .toeplitz import (TruncatedOperator, _pairing_matrix, build_from_measure,
                        schatten_norm, singular_values)
 
@@ -127,7 +126,7 @@ def _quadrature_cells(mu, r: float):
     """Gauss-Legendre cell masses of a sampled density, one row at a time."""
     reach = _budget_reach(np.floor(support_radius_of(mu) / r + 0.5) + 1.0, r)
     i, j = _block(*_cell_index(mu.center.real, mu.center.imag, r), reach)
-    x, w = leggauss(_CELL_QUAD_NODES)
+    x, w = gauss_legendre(_CELL_QUAD_NODES)
     offset = 0.5 * r * x
     cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
     masses = np.empty(i.size, dtype=complex)

@@ -131,7 +131,7 @@ def support_radius_of(mu: MeasureSymbol) -> float:
         return abs(mu.center) + mu.support_radius
     if isinstance(mu, UniformDisk):
         return mu.radius
-    return abs(mu.center) + mu.effective_radius()
+    return math.hypot(mu.center.real, mu.center.imag) + mu.effective_radius()
 
 
 def total_mass(mu: MeasureSymbol) -> complex:

@@ -14,6 +14,7 @@ import numpy as np
 # numpy loads its fft package on first attribute access; importing it here
 # keeps that cost out of every report's compute time
 from numpy.fft import fft, ifft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FocklabError, QuadratureError, TruncationError
 from .fock import FockParams
@@ -25,6 +26,9 @@ from .numerics import (PolarGrid, complex_fsum, log_factorial, log_poisson,
 _TAIL_TOL = 1e-12
 _REFINE_TOL = 1e-8
 _FLOAT_MAX = float(np.finfo(float).max)
+# a ring block's scale factors stay within e^{+-_BLOCK_SPAN}; half the
+# float range's exponent leaves room for the products and their sums
+_BLOCK_SPAN = 0.5 * math.log(_FLOAT_MAX)
 # basis samples one block of a point or cell pairing holds
 _PAIRING_CHUNK_BYTES = 4 * 2 ** 20
 
@@ -129,7 +133,8 @@ def _quadrature_grid(size: int, params: FockParams,
 def _density_support(mu) -> float:
     """Radius of a disk about the origin carrying the density."""
     if isinstance(mu, GaussianDensity):
-        return abs(mu.center) + mu.effective_radius(1e-18)
+        return (math.hypot(mu.center.real, mu.center.imag)
+                + mu.effective_radius(1e-18))
     return support_radius_of(mu)
 
 
@@ -198,17 +203,92 @@ def _ring_pairing(mu, grid: PolarGrid, size: int, alpha: float,
     return (alpha / math.pi) * entries
 
 
+def _band_layout(q: np.ndarray) -> np.ndarray:
+    """B[m, k + N - 1] = q[m, m - k], zero where m - k leaves 0..N-1.
+
+    The rows of q, reversed, fill a zeroed buffer with rows of 2N; read
+    back with rows of 2N - 1, row m moves m columns right, and the
+    wrapped zeros fill the rest.
+    """
+    size = q.shape[0]
+    buffer = np.zeros((size, 2 * size), dtype=q.dtype)
+    buffer[:, :size] = q[:, ::-1]
+    return buffer.ravel()[:size * (2 * size - 1)].reshape(size, -1)
+
+
+def _ring_spectrum(entries: np.ndarray, radii: np.ndarray, alpha: float):
+    """(k, S) with S[t, j] = sum_m M[m, m - k_j] rho_m(t) rho_{m-k_j}(t).
+
+    k runs over the bands of M from its lowest nonzero one to its highest.
+    Rings are taken in blocks, each about a reference ring b of its own.
+    With x = alpha t^2, rho_m(t)^2 = rho_m(b)^2 (x_t/x_b)^m e^{x_b - x_t},
+    so the block's sums are one real matrix product
+    (rho_m(t) / rho_m(b))^2 @ P, P[m, k] = rho_m(b) rho_{m-k}(b) M[m, m-k],
+    then a factor (t / t_b)^{-k} per column.  The two factors are
+    e^{+-((N - 1) ln(x_t/x_b) + x_t - x_b)} at most, so a block spans at
+    most _BLOCK_SPAN of g = (N - 1) ln x + x on each side of b, and neither
+    factor, the products nor their sums leave the float range.  Rows where
+    rho_m(b) underflows hold nothing the block's rings can see and are
+    left out, and so are the bands no two kept rows reach.  M is scaled by
+    a power of two to modulus at most sqrt(2).
+    """
+    size = entries.shape[0]
+    rows, cols = np.nonzero(entries)
+    k = np.arange(np.min(rows - cols, initial=0),
+                  np.max(rows - cols, initial=-1) + 1)
+    spectrum = np.zeros((radii.size, k.size), dtype=complex)
+    if not k.size:
+        return k, spectrum
+    scale = math.frexp(max(np.max(np.abs(entries.real)),
+                           np.max(np.abs(entries.imag))))[1]
+    scaled = np.ldexp(np.ascontiguousarray(entries).view(float),
+                      -scale).view(complex)
+    low = int(k[0])
+    layout = _band_layout(scaled)[:, low + size - 1:low + size - 1 + k.size]
+    rho = basis_matrix(radii, size, alpha).real
+    g = ((size - 1) * (math.log(alpha) + 2.0 * np.log(radii))
+         + alpha * radii ** 2)
+    padded = np.zeros(3 * size)
+    start = 0
+    while start < radii.size:
+        b = int(np.searchsorted(g, g[start] + _BLOCK_SPAN, "right")) - 1
+        stop = int(np.searchsorted(g, g[b] + _BLOCK_SPAN, "right"))
+        live = np.flatnonzero(rho[:, b])
+        lo, hi = int(live[0]), int(live[-1]) + 1
+        # the bands k_j, j in [j0, j1), that pair two kept rows
+        j0, j1 = max(0, lo - hi + 1 - low), min(k.size, hi - lo - low)
+        if j0 < j1:
+            # rho_{m - k_j}(b) for m in [lo, hi) is constant along
+            # diagonals: a window view of rho(b) between zeros, reversed
+            padded[size:2 * size] = rho[:, b]
+            column = padded[size + lo - low - j1 + 1:size + hi - low - j0]
+            shifted = sliding_window_view(column, j1 - j0)[:, ::-1]
+            ref = rho[lo:hi, b]
+            bands = (ref[:, None] * layout[lo:hi, j0:j1]) * shifted
+            ratio = rho[lo:hi, start:stop].T / ref
+            block = ((ratio * ratio) @ bands.view(float)).view(complex)
+            block *= np.exp(np.multiply.outer(
+                np.log(radii[b] / radii[start:stop]), k[j0:j1]))
+            spectrum[start:stop, j0:j1] = block
+        start = stop
+    return k, np.ldexp(spectrum.view(float), scale).view(complex)
+
+
 def _ring_transform(entries: np.ndarray, grid: PolarGrid,
                     alpha: float) -> np.ndarray:
     """Operator transform sum M[m, n] E[m, i] conj(E[n, i]) at every node.
 
-    The bands m - n = k are summed per ring, then one inverse FFT per ring
-    puts back their angular factors e^{i k theta}.
+    Band k = m - n of each ring's spectrum meets DFT bin k mod A; bins are
+    filled A bands at a time, so a grid with fewer angles than bands
+    aliases exactly as the node sum does.  One inverse FFT per ring puts
+    back the angular factors e^{i k theta}.
     """
-    rho = basis_matrix(grid.radii, entries.shape[0], alpha).real
-    spectrum = np.zeros((grid.n_radial, grid.n_angular), dtype=complex)
-    for k, m, n, prod in _ring_bands(rho):
-        spectrum[:, k % grid.n_angular] += entries[m, n] @ prod
+    k, bands = _ring_spectrum(entries, grid.radii, alpha)
+    angular = grid.n_angular
+    bins = k % angular
+    spectrum = np.zeros((grid.n_radial, angular), dtype=complex)
+    for lo in range(0, k.size, angular):
+        spectrum[:, bins[lo:lo + angular]] += bands[:, lo:lo + angular]
     return ifft(spectrum, axis=1, norm="forward").ravel()
 
 
@@ -410,12 +490,25 @@ def _covering_grid(op: TruncatedOperator) -> PolarGrid:
     return polar_grid(cutoff, max(96, 2 * size), max(64, 2 * size))
 
 
+def _ring_sums(weighted: np.ndarray, grid: PolarGrid) -> np.ndarray:
+    """Sum of weighted node samples over each ring of the grid."""
+    return weighted.reshape(grid.n_radial, grid.n_angular).sum(axis=1)
+
+
 def trace_via_berezin(op: TruncatedOperator) -> complex:
-    """Trace recovered as the plane integral of the Berezin transform."""
+    """Trace recovered as the plane integral of the Berezin transform.
+
+    The covering grid has A > N - 1 equispaced angles, over which every
+    e^{ik theta} with 0 < |k| <= N - 1 sums to zero; only the band k = 0
+    of the transform is left, and the integral is
+    2 alpha sum_t w_t t sum_m M[m, m] rho_m(t)^2 over the Gauss-Legendre
+    radii.  The matrix trace itself is never read.
+    """
     grid = _covering_grid(op)
     alpha = op.params.alpha
-    weighted = grid.weights * _ring_transform(op.entries, grid, alpha)
-    return (alpha / math.pi) * complex_fsum(weighted)
+    rho = basis_matrix(grid.radii, op.truncation, alpha).real
+    rings = np.diagonal(op.entries) @ (rho * rho)
+    return 2.0 * alpha * complex_fsum(grid.radial_weights * grid.radii * rings)
 
 
 def transform_l1_norm(op: TruncatedOperator) -> float:
@@ -428,7 +521,8 @@ def transform_l1_norm(op: TruncatedOperator) -> float:
     grid = _covering_grid(op)
     alpha = op.params.alpha
     samples = _ring_transform(op.entries, grid, alpha)
-    return (alpha / math.pi) * math.fsum(grid.weights * np.abs(samples))
+    rings = _ring_sums(grid.weights * np.abs(samples), grid)
+    return (alpha / math.pi) * math.fsum(rings)
 
 
 def identity_operator(size: int, params: FockParams) -> TruncatedOperator:
@@ -493,6 +587,6 @@ def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
             f"exceeds {_TAIL_TOL:g} at truncation {size}")
     values = density_values(phi, grid.nodes)
     transform = _ring_transform(op.entries, grid, params.alpha)
-    weighted = grid.weights * values * transform
-    quad_side = (params.alpha / math.pi) * complex_fsum(weighted)
+    rings = _ring_sums(grid.weights * values * transform, grid)
+    quad_side = (params.alpha / math.pi) * complex_fsum(rings)
     return matrix_side, quad_side

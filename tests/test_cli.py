@@ -293,7 +293,8 @@ class TestPointMassTruncation:
 
 
 class TestNodeBudget:
-    """Quadrature grids too large for memory stop before leggauss runs."""
+    """Quadrature grids over the node budget stop before any node is
+    computed."""
 
     @pytest.mark.parametrize("subcommand, alpha", [
         # 7.8e7 nodes pass the node budget; 7 offsets exceed the probe's
@@ -382,6 +383,19 @@ class TestRefusedConfigs:
                         "points": [{"x": 0, "y": 0, "w_re": 1e200}]}}))
         assert_exit_two(capsys, ["schatten", "--config", path],
                         "NonFiniteError: data.schatten_2: not a finite float")
+
+    @pytest.mark.parametrize("subcommand, message", [
+        ("berezin", "ResourceError: polar grid of inf x inf nodes"),
+        ("trace-pairing", "TruncationError: kernel basis tail 1.000e+00 "
+                          "over the symbol support"),
+    ])
+    def test_gaussian_centre_past_float_range(self, tmp_path, capsys,
+                                              subcommand, message):
+        # |c| overflowed in the support radius: OverflowError traceback
+        path = write(tmp_path, "far.json", json.dumps({
+            "measure": {"type": "gaussian", "beta": 1, "x": 1.5e308,
+                        "y": 1.5e308}}))
+        assert_exit_two(capsys, [subcommand, "--config", path], message)
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
     def test_subnormal_counterexample_alpha(self, tmp_path, capsys, alpha):
@@ -607,11 +621,26 @@ class TestImports:
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert out.strip() == "[]"
 
+    def test_no_numpy_polynomial(self, tmp_path):
+        # Gauss-Legendre rules come from focklab.numerics
+        disk = write(tmp_path, "disk.json", json.dumps({
+            "truncation": 32, "measure": {"type": "uniform_disk",
+                                          "radius": 1.0}}))
+        out = self.run_python(
+            "import contextlib, io, sys, focklab.cli\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for name in focklab.cli.SUBCOMMANDS:\n"
+            f"        code = focklab.cli.main([name, '--config', {disk!r}])\n"
+            "        assert code == 0, name\n"
+            "print('numpy.polynomial' in sys.modules)")
+        assert out.split() == ["False", "False"]
+
     def test_main_first_imports_no_module(self, tmp_path):
-        # numpy loads fft, polynomial and random lazily, and argparse
-        # imports locale on first use; a first import inside main lands in
-        # every report's compute time.  The density toeplitz report runs
-        # first, then the subcommands with other code paths.
+        # numpy loads fft and random lazily, and argparse imports locale on
+        # first use; a first import inside main lands in every report's
+        # compute time.  The density toeplitz report runs first, then the
+        # subcommands with other code paths.
         density = {"truncation": 32, "measure": {
             "type": "gaussian", "beta": 1.2, "x": 0.5, "y": -0.3}}
         disk = {"truncation": 32, "measure": {"type": "uniform_disk",

@@ -6,10 +6,11 @@ import pytest
 from scipy.special import gammaincc
 
 from focklab.errors import QuadratureError, ResourceError
-from focklab.numerics import (erf, integrate_plane, inverse_gamma_q,
-                              log_basis_coeff, log_factorial, log_poisson,
-                              lr_norm, min_angular_nodes, node_count,
-                              polar_grid, regularized_gamma, tail_radius)
+from focklab.numerics import (erf, gauss_legendre, integrate_plane,
+                              inverse_gamma_q, log_basis_coeff, log_factorial,
+                              log_poisson, lr_norm, min_angular_nodes,
+                              node_count, polar_grid, regularized_gamma,
+                              tail_radius)
 from focklab.toeplitz import basis_tail_mass
 
 mpmath.mp.dps = 50
@@ -121,6 +122,65 @@ class TestPolarGrid:
         bad[3] = np.nan
         with pytest.raises(QuadratureError, match="non-finite"):
             integrate_plane(bad, grid)
+
+
+FIXED_BITS = 256
+
+
+def legendre_reference(n, start):
+    """50-digit (node, weight) pairs of the n-point rule, one per start node.
+
+    P_n and P_{n-1} at each float start come from the three-term recurrence
+    in exact integers at scale 2^-256, all nodes at once; mpmath then takes
+    one Newton step from the start, accurate to about (1e-16)^2, and carries
+    P_n' to the root by its Taylor series with P_n'' from Legendre's
+    equation.
+    """
+    one = 1 << FIXED_BITS
+    x = np.array([int(mpmath.ldexp(mpmath.mpf(float(v)), FIXED_BITS))
+                  for v in start], dtype=object)
+    p_prev, p = np.full(x.size, one, dtype=object), x.copy()
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * ((x * p) >> FIXED_BITS)
+                        - j * p_prev) // (j + 1)
+    out = []
+    for values in zip(x, p, p_prev):
+        xm, pn, pm = (mpmath.ldexp(mpmath.mpf(v), -FIXED_BITS)
+                      for v in values)
+        dp = n * (xm * pn - pm) / (xm * xm - 1)
+        ddp = (2 * xm * dp - n * (n + 1) * pn) / (1 - xm * xm)
+        step = -pn / dp
+        root, dp = xm + step, dp + ddp * step
+        out.append((root, 2 / ((1 - root * root) * dp * dp)))
+    return out
+
+
+class TestGaussLegendre:
+
+    @pytest.mark.parametrize("n", [8, 96, 128, 601, 2048])
+    def test_against_mpmath(self, n):
+        # numpy's leggauss errs by 1.4e-11 to 6.3e-8 in the end weights here
+        x, w = gauss_legendre(n)
+        assert np.array_equal(x[:n // 2], -x[::-1][:n // 2])
+        assert np.array_equal(w, w[::-1])
+        upper = slice(n // 2, n)
+        for (node, weight), got_x, got_w in zip(
+                legendre_reference(n, x[upper]), x[upper], w[upper]):
+            assert abs(float(node - mpmath.mpf(float(got_x)))) <= 1e-15
+            assert abs(float((weight - mpmath.mpf(float(got_w))) / weight)
+                       ) <= 1e-13
+
+    @pytest.mark.parametrize("n", list(range(1, 21)) + [97])
+    def test_exact_to_degree_2n_minus_1(self, n):
+        x, w = gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert (n % 2 == 0) or x[n // 2] == 0.0
+        for degree in range(0, 2 * n, 2):
+            exact = 2.0 / (degree + 1)
+            assert math.fsum(w * x ** degree) == pytest.approx(exact,
+                                                                rel=1e-13)
+            assert abs(math.fsum(w * x ** (degree + 1))) <= 1e-15
 
 
 class TestBasisNormalization:

@@ -14,10 +14,11 @@ from focklab.lattice import lattice_operator, lattice_partition
 from focklab.measure import (Density, GaussianDensity, PointMasses,
                              UniformDisk, berezin_measure, density_values,
                              is_positive, total_mass)
-from focklab.numerics import polar_grid
+from focklab.numerics import complex_fsum, polar_grid
 from focklab.toeplitz import (_TAIL_TOL, HankelMatrix, TruncatedOperator,
-                              _pairing_matrix, _quadrature_grid,
-                              _ring_pairing, _ring_transform,
+                              _covering_grid, _pairing_matrix,
+                              _quadrature_grid, _ring_bands, _ring_pairing,
+                              _ring_spectrum, _ring_transform,
                               adjoint_isometry_check, basis_matrix,
                               berezin_operator, build_from_density,
                               build_from_measure, build_from_point_masses,
@@ -408,6 +409,104 @@ class TestRingPath:
         ring = _ring_transform(entries, grid, PARAMS.alpha)
         dense = dense_transform(entries, grid.nodes)
         assert np.max(np.abs(ring - dense)) < 1e-14
+
+
+def band_loop_spectrum(entries, radii, alpha):
+    """Reference ring spectrum: the band-by-band loop over k = m - n.
+
+    Column k + N - 1 of row t is sum_m M[m, m - k] rho_m(t) rho_{m-k}(t).
+    """
+    size = entries.shape[0]
+    rho = basis_matrix(radii, size, alpha).real
+    spectrum = np.zeros((radii.size, 2 * size - 1), dtype=complex)
+    for k, m, n, prod in _ring_bands(rho):
+        spectrum[:, k + size - 1] = entries[m, n] @ prod
+    return spectrum
+
+
+def edge_point_masses(size):
+    """Two masses as far out as the truncation check lets them go."""
+    lo, hi = 0.0, float(size)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if toeplitz.basis_tail_mass(size, 1.0, math.sqrt(mid)) < 5e-13:
+            lo = mid
+        else:
+            hi = mid
+    r = math.sqrt(lo)
+    return PointMasses(((r, 1.0), (-0.6 * r + 0.8j * r, 0.5)))
+
+
+class TestBlockedRingSpectrum:
+    """Blocked matrix-product ring spectra against the band loop."""
+
+    @pytest.mark.parametrize("size", [24, 64, 128, 512])
+    @pytest.mark.parametrize("symbol", ["points", "disk", "gaussian",
+                                        "random"])
+    def test_matches_band_loop(self, size, symbol):
+        if symbol == "random":
+            rng = np.random.default_rng(size)
+            entries = (rng.standard_normal((size, size))
+                       + 1j * rng.standard_normal((size, size)))
+        else:
+            mu = {"points": edge_point_masses(size),
+                  "disk": UniformDisk(1.3, 1.0),
+                  "gaussian": GaussianDensity(0.6, 1.0, center=1.2 - 0.9j),
+                  }[symbol]
+            entries = build_from_measure(mu, size, PARAMS).entries
+        op = TruncatedOperator(entries, size, PARAMS)
+        radii = _covering_grid(op).radii
+        if size == 512:
+            radii = radii[::4]  # keeps the reference loop under a second
+        with np.errstate(over="raise", invalid="raise"):
+            k, blocked = _ring_spectrum(entries, radii, PARAMS.alpha)
+        reference = band_loop_spectrum(entries, radii, PARAMS.alpha)
+        full = np.zeros_like(reference)
+        full[:, k + size - 1] = blocked
+        assert np.all(np.isfinite(blocked))
+        scale = np.max(np.abs(entries))
+        assert np.max(np.abs(full - reference)) <= 1e-14 * scale
+
+    def test_only_nonzero_bands(self):
+        entries = np.diag(np.arange(1.0, 9.0)).astype(complex)
+        entries[5, 2] = 1j
+        radii = _covering_grid(TruncatedOperator(entries, 8, PARAMS)).radii
+        k, spectrum = _ring_spectrum(entries, radii, PARAMS.alpha)
+        assert k.tolist() == [0, 1, 2, 3]
+        k, spectrum = _ring_spectrum(np.zeros((8, 8)), radii, PARAMS.alpha)
+        assert k.size == 0 and spectrum.shape == (radii.size, 0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_entries_scale_exactly(self, scale):
+        rng = np.random.default_rng(7)
+        entries = (rng.standard_normal((64, 64))
+                   + 1j * rng.standard_normal((64, 64)))
+        radii = _covering_grid(TruncatedOperator(entries, 64, PARAMS)).radii
+        with np.errstate(over="raise", invalid="raise"):
+            _, unit = _ring_spectrum(entries, radii, PARAMS.alpha)
+            _, big = _ring_spectrum(scale * entries, radii, PARAMS.alpha)
+        assert np.max(np.abs(big / scale - unit)) <= 1e-14 * np.max(
+            np.abs(entries))
+
+
+class TestBandZeroTrace:
+    """The k = 0 band alone gives the full transform's plane integral."""
+
+    @pytest.mark.parametrize("size", [24, 64, 512])
+    def test_matches_full_transform_route(self, size):
+        rng = np.random.default_rng(size)
+        ops = [build_from_measure(mu, size, PARAMS) for mu in (
+            UniformDisk(1.3, 1.0), GaussianDensity(0.6, 1.0, center=1.2 - 0.9j),
+            edge_point_masses(size))]
+        ops.append(TruncatedOperator(
+            rng.standard_normal((size, size))
+            + 1j * rng.standard_normal((size, size)), size, PARAMS))
+        for op in ops:
+            grid = _covering_grid(op)
+            transform = _ring_transform(op.entries, grid, PARAMS.alpha)
+            full = (PARAMS.alpha / math.pi) * complex_fsum(
+                grid.weights * transform)
+            assert abs(trace_via_berezin(op) - full) <= 1e-15 * abs(full)
 
 
 class TestBasisMatrix:
