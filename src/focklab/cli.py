@@ -352,10 +352,12 @@ def render_csv(report: dict, header, rows) -> str:
 def run_berezin(config: RunConfig, seed):
     mu = config.require_measure()
     params = config.params()
+    # the L^1 norm sizes its grid first, so a config whose grid is over the
+    # node budget is refused before any transform is taken
+    l1 = berezin_lr_norm(mu, 1.0, params)
     reach = support_radius_of(mu) + 2.0 / math.sqrt(config.alpha)
     sample_z = np.linspace(0.0, reach, 9)
     values = berezin_measure(mu, sample_z.astype(complex), params)
-    l1 = berezin_lr_norm(mu, 1.0, params)
     tv = total_variation(mu)
     data = {
         "samples": [{"z_re": float(z), "z_im": 0.0,

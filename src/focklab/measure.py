@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (FocklabError, GridExtentError, PositivityError,
                      ResourceError)
 from .fock import FockParams
-from .numerics import (PolarGrid, complex_fsum, min_angular_nodes, node_count,
-                       polar_grid)
+from .numerics import (PolarGrid, complex_fsum, log_poisson, min_angular_nodes,
+                       node_count, polar_grid, regularized_gamma)
 
 _DROP = 1e-15
 # heat-kernel entries (evaluation points x measure nodes) one transform may
@@ -27,6 +27,12 @@ _WORK_BUDGET = 1e9
 # bytes of one complex kernel chunk; a chunk also stays at most 512 rows,
 # so every chunk that fits keeps the row grouping BLAS rounds by
 _CHUNK_BYTES = 2 ** 26
+# Poisson terms one disk transform may sum: about 18 s at 40-60 ns a term
+# on 2 vCPUs; no CLI grid within the node budget needs 1e8
+_TERM_BUDGET = 3e8
+# Poisson terms one block of a disk's transform holds: 1 MiB of floats
+_TERM_BLOCK = 2 ** 17
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -158,23 +164,15 @@ def total_variation(mu: MeasureSymbol) -> float:
     return math.fsum(weights * np.abs(values))
 
 
-def density_samples(mu: MeasureSymbol, radial_nodes: int = 96,
+def density_samples(mu: Density, radial_nodes: int = 96,
                     angular_nodes: int | None = None):
-    """Quadrature view (nodes, weights, density values) of a sampled density
-    or a disk; a Gaussian's mass and transform are closed forms.
+    """Quadrature view (nodes, weights, density values) of a sampled density.
 
     Nodes are absolute complex coordinates; weights carry the area Jacobian.
-    Point masses are not densities and are rejected.
     """
-    if isinstance(mu, PointMasses):
-        raise FocklabError("point masses have no density samples")
-    if isinstance(mu, Density):
-        center, radius = mu.center, mu.support_radius
-    else:
-        center, radius = 0j, mu.radius
-    grid = polar_grid(radius, radial_nodes,
+    grid = polar_grid(mu.support_radius, radial_nodes,
                       angular_nodes or max(128, min_angular_nodes(radial_nodes)))
-    nodes = center + grid.nodes
+    nodes = mu.center + grid.nodes
     return nodes, grid.weights, density_values(mu, nodes)
 
 
@@ -198,8 +196,8 @@ def density_values(mu: MeasureSymbol, nodes) -> np.ndarray:
     return values
 
 
-def _heat_kernel_nodes(mu: MeasureSymbol, alpha: float, z_max: float):
-    """Node counts resolving e^{-alpha|z-w|^2} over the measure's support."""
+def _heat_kernel_nodes(mu: Density, alpha: float, z_max: float):
+    """Node counts resolving e^{-alpha|z-w|^2} over the density's support."""
     s = support_radius_of(mu)
     radial = max(96, node_count(12.0 * s * math.sqrt(alpha)))
     angular = max(192, min_angular_nodes(node_count(2.0 * alpha * s * z_max)
@@ -207,10 +205,63 @@ def _heat_kernel_nodes(mu: MeasureSymbol, alpha: float, z_max: float):
     return radial, angular
 
 
+def disk_diagonal(mu: UniformDisk, size: int, alpha: float) -> np.ndarray:
+    """P(n + 1, X) for n < size, X = alpha R^2: the disk's Toeplitz diagonal
+    over its amplitude.
+
+    P(a, X) = sum_{m >= a} Pois(m; X) is summed up from P(size, X) where
+    X < a, and 1 - P = sum_{m < a} Pois(m; X) up from m = 0 elsewhere, so
+    each tail is added from its small end, as regularized_gamma does.
+    """
+    x = min(alpha * mu.radius * mu.radius, _FLOAT_MAX)
+    pois = np.exp(log_poisson(np.arange(size), x))
+    top = float(regularized_gamma(size, x)[0])
+    upper = np.cumsum(np.concatenate(([top], pois[:0:-1])))[::-1]
+    return np.where(x < np.arange(1, size + 1), upper, 1.0 - np.cumsum(pois))
+
+
+def _disk_transform(mu: UniformDisk, z: np.ndarray, alpha: float):
+    """a sum_j Pois(j; x) P(j + 1, X), x = alpha|z|^2: a disk's heat transform.
+
+    The angular mean of e^{2 alpha Re(z conj w)} is I_0(2 alpha |z||w|),
+    whose power series integrates term by term over the disk (Zhu, GTM
+    263), so the transform is the 2-dof noncentral chi-square CDF: a
+    Poisson mixture of disk_diagonal.  Every term is positive.  Past the
+    Poisson mode both factors fall, the terms by x / (j + 1) a step at
+    least, and from j = x + 10 sqrt(x) + 40 on they sum below
+    e^{-50} (1 + sqrt(x)) times the term at the mode; the sum stops there
+    for every point.
+    The term count is checked against _TERM_BUDGET before anything is
+    allocated, and the terms are summed in blocks of _TERM_BLOCK.
+    """
+    with np.errstate(over="ignore"):
+        x = np.minimum(alpha * np.abs(z) ** 2, _FLOAT_MAX)
+    x_max = float(x.max(initial=0.0))
+    terms = x_max + 10.0 * math.sqrt(x_max) + 40.0
+    if not z.size * terms <= _TERM_BUDGET:
+        raise ResourceError(
+            f"disk transform at {z.size} points needs {terms:.3g} Poisson "
+            f"terms a point, over the budget of {_TERM_BUDGET:.3g} in all")
+    terms = math.ceil(terms)
+    weights = disk_diagonal(mu, terms, alpha)
+    j = np.arange(terms)
+    width = min(terms, _TERM_BLOCK)
+    rows = max(1, _TERM_BLOCK // width)
+    out = np.zeros(z.size)
+    for start in range(0, z.size, rows):
+        block = x[start:start + rows, None]
+        for lo in range(0, terms, width):
+            pois = np.exp(log_poisson(j[lo:lo + width], block))
+            out[start:start + rows] += pois @ weights[lo:lo + width]
+    return mu.amplitude * out
+
+
 def berezin_measure(mu: MeasureSymbol, z, params: FockParams):
     """Heat-kernel transform (alpha/pi) integral e^{-alpha|z-w|^2} d mu(w).
 
     ``z`` may be a complex scalar or array; the result matches its shape.
+    Gaussians and disks are closed forms; point masses and sampled
+    densities sum the kernel over their atoms or quadrature nodes.
     """
     alpha = params.alpha
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -218,6 +269,8 @@ def berezin_measure(mu: MeasureSymbol, z, params: FockParams):
         s = alpha * mu.beta / (alpha + mu.beta)
         out = (mu.amplitude * alpha / (alpha + mu.beta)
                * np.exp(-s * np.abs(z_arr - mu.center) ** 2))
+    elif isinstance(mu, UniformDisk):
+        out = _disk_transform(mu, z_arr.ravel(), alpha).reshape(z_arr.shape)
     else:
         if isinstance(mu, PointMasses):
             w, c = mu.locations, mu.weights

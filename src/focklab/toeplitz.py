@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import FocklabError, QuadratureError, TruncationError
 from .fock import FockParams
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
-                      UniformDisk, density_values, support_radius_of)
+                      UniformDisk, density_values, disk_diagonal,
+                      support_radius_of)
 from .numerics import (PolarGrid, complex_fsum, log_factorial, log_poisson,
                        polar_grid, regularized_gamma, tail_radius)
 
@@ -390,18 +391,24 @@ def _gaussian_hankel(mu: GaussianDensity, size: int,
     return (mu.amplitude * share) * (outer * phase[n[:, None] + n[None, :]])
 
 
-def _disk_diagonal(mu: UniformDisk, size: int, alpha: float) -> np.ndarray:
-    """P(n + 1, X) for n < N, X = alpha R^2: the disk's Toeplitz diagonal.
+def _disk_basis_tail(size: int, x: float) -> float:
+    """Mass-weighted basis tail of a disk, X = alpha R^2: the mean of
+    P(N, alpha|w|^2) over the disk, (1/X) int_0^X P(N, s) ds.
 
-    P(a, X) = sum_{m >= a} Pois(m; X) is summed up from P(N, X) where
-    X < a, and 1 - P = sum_{m < a} Pois(m; X) up from m = 0 elsewhere, so
-    each tail is added from its small end, as regularized_gamma does.
+    That is (X P(N, X) - N P(N + 1, X)) / X
+    = Pois(N; X) + (1 - N/X) P(N + 1, X), two nonnegative terms from
+    X = N up.  Below N the second is negative and cancels the first, so
+    there the tail is taken as the positive sum (1/X) sum_{j >= 1}
+    j Pois(N + j; X), whose terms fall by N/(N + j) a step at least and
+    sum to less than e^{-90} of the first past j = 20 sqrt(N) + 40.
     """
-    x = min(alpha * mu.radius * mu.radius, _FLOAT_MAX)
-    pois = np.exp(log_poisson(np.arange(size), x))
-    top = float(regularized_gamma(size, x)[0])
-    upper = np.cumsum(np.concatenate(([top], pois[:0:-1])))[::-1]
-    return np.where(x < np.arange(1, size + 1), upper, 1.0 - np.cumsum(pois))
+    if not x > 0.0:
+        return 0.0
+    if x >= size:
+        return float(np.exp(log_poisson(size, x)) + (1.0 - size / x)
+                     * regularized_gamma(size + 1, x)[0])
+    j = np.arange(1, math.ceil(20.0 * math.sqrt(size)) + 41)
+    return float(j @ np.exp(log_poisson(size + j, x))) / x
 
 
 def build_from_measure(mu: MeasureSymbol, size: int,
@@ -409,7 +416,9 @@ def build_from_measure(mu: MeasureSymbol, size: int,
     """Toeplitz matrix for any measure.
 
     Point masses and the Gaussian and disk densities are exact; any other
-    density goes through build_from_density's quadrature.
+    density goes through build_from_density's quadrature.  A disk whose
+    mass-weighted basis tail past N reaches 1e-12 is refused with
+    TruncationError, as point masses are.
     """
     alpha = params.alpha
     if isinstance(mu, PointMasses):
@@ -419,7 +428,13 @@ def build_from_measure(mu: MeasureSymbol, size: int,
         return TruncatedOperator(entries, size, params,
                                  provenance="closed-form(gaussian)")
     if isinstance(mu, UniformDisk):
-        entries = np.diag(mu.amplitude * _disk_diagonal(mu, size, alpha))
+        tail = _disk_basis_tail(size, min(alpha * mu.radius ** 2, _FLOAT_MAX))
+        if tail >= _TAIL_TOL:
+            raise TruncationError(
+                f"kernel basis tail {tail:.3e}, weighted by mass over the "
+                f"disk of radius {mu.radius:g}, exceeds {_TAIL_TOL:g} at "
+                f"truncation {size}; enlarge N or shrink the disk")
+        entries = np.diag(mu.amplitude * disk_diagonal(mu, size, alpha))
         return TruncatedOperator(entries, size, params,
                                  provenance="closed-form(disk)")
     return build_from_density(mu, size, params)
@@ -487,6 +502,10 @@ def _covering_grid(op: TruncatedOperator) -> PolarGrid:
     """
     size = op.truncation
     cutoff = tail_radius(op.params.alpha, 2 * size, 1e-13)
+    if not cutoff * cutoff < _FLOAT_MAX:
+        raise QuadratureError(
+            f"covering grid at alpha {op.params.alpha:g} needs cutoff "
+            f"radius {cutoff:.3g}, whose square is not a finite float")
     return polar_grid(cutoff, max(96, 2 * size), max(64, 2 * size))
 
 
@@ -498,16 +517,26 @@ def _ring_sums(weighted: np.ndarray, grid: PolarGrid) -> np.ndarray:
 def trace_via_berezin(op: TruncatedOperator) -> complex:
     """Trace recovered as the plane integral of the Berezin transform.
 
-    The covering grid has A > N - 1 equispaced angles, over which every
-    e^{ik theta} with 0 < |k| <= N - 1 sums to zero; only the band k = 0
-    of the transform is left, and the integral is
-    2 alpha sum_t w_t t sum_m M[m, m] rho_m(t)^2 over the Gauss-Legendre
-    radii.  The matrix trace itself is never read.
+    The covering grid has A > N - 1 equispaced angles, so only the band
+    k = 0 of the transform is left (_band_zero_integral).  The matrix
+    trace itself is never read.
     """
-    grid = _covering_grid(op)
+    return _band_zero_integral(op, _covering_grid(op), 1.0)
+
+
+def _band_zero_integral(op: TruncatedOperator, grid: PolarGrid,
+                        ring_density) -> complex:
+    """(alpha/pi) times the grid sum of the transform against a radial
+    density, from band k = 0 alone.
+
+    With A > N - 1 equispaced angles, every e^{ik theta} with
+    0 < |k| <= N - 1 sums to zero over a ring, so the sum is
+    2 alpha sum_t w_t t phi(t) sum_m M[m, m] rho_m(t)^2 over the
+    Gauss-Legendre radii; ring_density holds phi(t) there.
+    """
     alpha = op.params.alpha
     rho = basis_matrix(grid.radii, op.truncation, alpha).real
-    rings = np.diagonal(op.entries) @ (rho * rho)
+    rings = ring_density * (np.diagonal(op.entries) @ (rho * rho))
     return 2.0 * alpha * complex_fsum(grid.radial_weights * grid.radii * rings)
 
 
@@ -570,7 +599,9 @@ def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
     """Trace of T_phi . S two ways: matrix trace and Berezin-transform integral.
 
     phi must be a density variant; the operator's Berezin transform must be
-    truncation-valid over its support.
+    truncation-valid over its support.  A disk or a centred Gaussian is
+    constant on every ring, so its quadrature side takes band 0 alone
+    (_band_zero_integral); any other density is sampled at every node.
     """
     if isinstance(phi, PointMasses):
         raise FocklabError("trace pairing needs a density symbol")
@@ -585,6 +616,11 @@ def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
         raise TruncationError(
             f"kernel basis tail {float(tail):.3e} over the symbol support "
             f"exceeds {_TAIL_TOL:g} at truncation {size}")
+    if isinstance(phi, UniformDisk) or (isinstance(phi, GaussianDensity)
+                                        and phi.center == 0):
+        quad_side = _band_zero_integral(op, grid,
+                                        density_values(phi, grid.radii))
+        return matrix_side, quad_side
     values = density_values(phi, grid.nodes)
     transform = _ring_transform(op.entries, grid, params.alpha)
     rings = _ring_sums(grid.weights * values * transform, grid)

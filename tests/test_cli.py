@@ -13,9 +13,10 @@ import pytest
 from focklab import cli
 from focklab.cli import (build_measure, main, parse_config, render_csv,
                          render_json)
-from focklab.errors import ConfigError
+from focklab.errors import ConfigError, ResourceError
 from focklab.fock import FockParams
-from focklab.measure import GaussianDensity, PointMasses, UniformDisk
+from focklab.measure import (Density, GaussianDensity, PointMasses,
+                             UniformDisk, berezin_measure)
 from focklab.toeplitz import (TruncatedOperator, build_from_measure,
                               build_hankel)
 
@@ -318,19 +319,32 @@ class TestNodeBudget:
 
 
 class TestTransformBudget:
-    """A Berezin transform too large to compute stops before its kernel."""
+    """A Berezin transform too large to compute stops before its kernel;
+    a disk's transform is a closed form and answers."""
 
-    def test_resource_error_is_two(self, tmp_path, capsys):
-        # 601 points against 537 x 8984 disk nodes: 2.9e9 kernel entries
+    def test_resource_error_is_two(self):
+        # the unit disk as a sampled density: 601 points against
+        # 537 x 8834 nodes, 2.9e9 kernel entries
+        mu = Density(lambda w: np.ones(w.shape, dtype=complex), 1.0)
+        z = np.linspace(0.0, 1.1, 601).astype(complex)
+        start = time.monotonic()
+        with pytest.raises(ResourceError, match="^Berezin transform"):
+            berezin_measure(mu, z, FockParams(alpha=2000.0))
+        assert time.monotonic() - start < 10.0
+
+    @pytest.mark.parametrize("subcommand", ["berezin", "rigidity"])
+    def test_alpha_2000_disk_answers(self, tmp_path, capsys, subcommand):
+        # the nested quadrature needed 2.9e9 kernel entries here
         config = write(tmp_path, "disk.json", json.dumps({
             "alpha": 2000,
             "measure": {"type": "uniform_disk", "radius": 1.0}}))
         start = time.monotonic()
-        assert main(["berezin", "--config", config]) == 2
+        assert main([subcommand, "--config", config]) == 0
         assert time.monotonic() - start < 10.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("ResourceError: Berezin transform")
+        report = parse_report(capsys.readouterr().out)
+        assert all(check["passed"] for check in report["checks"])
+        if subcommand == "berezin":
+            assert [c["name"] for c in report["checks"]] == ["mass_identity"]
 
 
 class TestRefusedConfigs:
@@ -396,6 +410,26 @@ class TestRefusedConfigs:
             "measure": {"type": "gaussian", "beta": 1, "x": 1.5e308,
                         "y": 1.5e308}}))
         assert_exit_two(capsys, [subcommand, "--config", path], message)
+
+    def test_disk_past_truncation(self, tmp_path, capsys):
+        # reported trace 64 against 400 and exited 1
+        path = write(tmp_path, "wide.json", json.dumps({
+            "truncation": 64,
+            "measure": {"type": "uniform_disk", "radius": 20.0}}))
+        assert_exit_two(capsys, ["trace-check", "--config", path],
+                        "TruncationError: kernel basis tail 8.400e-01, "
+                        "weighted by mass over the disk of radius 20")
+
+    @pytest.mark.parametrize("subcommand", ["trace-check", "schatten"])
+    def test_subnormal_alpha_covering_grid(self, tmp_path, capsys,
+                                           subcommand):
+        # the cutoff's square overflowed, and the NonFiniteError named a
+        # report field
+        path = write(tmp_path, "alpha.json", json.dumps({
+            "alpha": 1e-310,
+            "measure": {"type": "uniform_disk", "radius": 1.0}}))
+        assert_exit_two(capsys, [subcommand, "--config", path],
+                        "QuadratureError: covering grid at alpha 1e-310")
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
     def test_subnormal_counterexample_alpha(self, tmp_path, capsys, alpha):

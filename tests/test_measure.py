@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from focklab import measure
-from focklab.errors import GridExtentError, PositivityError
+from focklab.errors import GridExtentError, PositivityError, ResourceError
 from focklab.fock import FockParams
 from focklab.measure import (Density, GaussianDensity, PointMasses,
                              UniformDisk, berezin_grid, berezin_lr_constant,
@@ -127,6 +128,78 @@ class TestBerezinMeasure:
             a = berezin_measure(shifted, z, PARAMS)
             b = berezin_measure(mu, z - offset, PARAMS)
             assert abs(a - b) < 1e-12
+
+
+def mp_disk_transform(alpha, radius, rs):
+    """sum_j Pois(j; alpha r^2) P(j + 1, alpha R^2) for each r, at 50 digits.
+
+    P(j + 1, X) is summed down from P(J, X), so no term cancels.
+    """
+    with mpmath.workdps(50):
+        big_x = mpmath.mpf(alpha) * mpmath.mpf(radius) ** 2
+        xs = [mpmath.mpf(alpha) * mpmath.mpf(r) ** 2 for r in rs]
+        top = int(max(xs) + 12 * mpmath.sqrt(max(xs)) + 60)
+        upper = [mpmath.mpf(0)] * top  # upper[j] = P(j + 1, X)
+        upper[-1] = mpmath.gammainc(top, 0, big_x, regularized=True)
+        pois = mpmath.exp((top - 1) * mpmath.log(big_x) - big_x
+                          - mpmath.loggamma(top))
+        for j in range(top - 1, 0, -1):
+            upper[j - 1] = upper[j] + pois  # + Pois(j; X)
+            pois *= j / big_x
+        out = []
+        for x in xs:
+            term, total = mpmath.exp(-x), mpmath.mpf(0)
+            for j in range(top):
+                total += term * upper[j]
+                term *= x / (j + 1)
+            out.append(float(total))
+        return np.array(out)
+
+
+class TestDiskTransform:
+    """The disk's heat transform as a Poisson mixture of P(j + 1, X)."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 50.0, 2000.0])
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 1.3, 3.0])
+    def test_matches_mpmath(self, alpha, radius):
+        params = FockParams(alpha=alpha)
+        mu = UniformDisk(1.0, radius)
+        cutoff = berezin_grid(mu, params).cutoff_radius
+        rs = np.append(np.linspace(0.0, cutoff, 6), radius)
+        got = berezin_measure(mu, rs.astype(complex), params)
+        ref = mp_disk_transform(alpha, radius, rs)
+        assert np.all(got.imag == 0.0)
+        live = ref > 1e-300
+        assert live.sum() >= 6
+        assert np.all(np.abs(got.real - ref)[live] <= 1e-13 * ref[live])
+
+    @pytest.mark.parametrize("alpha", [1.0, 50.0])
+    @pytest.mark.parametrize("radius", [1.0, 1.3])
+    def test_matches_nested_quadrature(self, alpha, radius):
+        # the same disk as a sampled indicator takes the kernel route
+        params = FockParams(alpha=alpha)
+        mu = UniformDisk(0.8 - 0.3j, radius)
+        indicator = Density(lambda w: np.full(w.shape, mu.amplitude), radius)
+        cutoff = berezin_grid(mu, params).cutoff_radius
+        z = np.linspace(0.0, cutoff, 9) * np.exp(0.7j)
+        closed = berezin_measure(mu, z, params)
+        nested = berezin_measure(indicator, z, params)
+        assert np.max(np.abs(closed - nested)) <= 1e-13 * abs(mu.amplitude)
+
+    def test_shape_and_scalar(self):
+        mu = UniformDisk(2.0, 1.0)
+        z = np.array([[0.0, 0.5j], [1.0, -2.0]])
+        out = berezin_measure(mu, z, PARAMS)
+        assert out.shape == (2, 2)
+        assert berezin_measure(mu, 0.5j, PARAMS) == out[0, 1]
+        # at the origin the transform is a P(1, R^2) = a (1 - e^{-R^2})
+        assert out[0, 0] == pytest.approx(-2.0 * math.expm1(-1.0),
+                                          rel=1e-15)
+
+    def test_term_budget(self):
+        # alpha |z|^2 = 1e10 Poisson terms, refused before any is taken
+        with pytest.raises(ResourceError, match="^disk transform at 1 "):
+            berezin_measure(UniformDisk(1.0, 1.0), 1e5, PARAMS)
 
 
 class TestBerezinLrNorm:

@@ -132,9 +132,10 @@ class TestDensityBuilder:
             build_hankel(mu, 16, FockParams(1.0))
 
     def test_large_disk_diagonal_approaches_identity(self):
-        # Basis mass outside radius 12 is below 1e-12 for the first 32 modes.
-        op = build_from_measure(UniformDisk(1.0, 12.0), 32, PARAMS)
-        assert np.max(np.abs(np.diagonal(op.entries) - 1.0)) < 1e-12
+        # Basis mass outside radius 12 is below 1e-12 for the first 32 modes;
+        # the disk's basis tail past N reaches 1e-12 below N = 228
+        op = build_from_measure(UniformDisk(1.0, 12.0), 256, PARAMS)
+        assert np.max(np.abs(np.diagonal(op.entries)[:32] - 1.0)) < 1e-12
 
     def test_angular_selection_single_band(self):
         op = build_from_density(Density(lambda w: w, 1.0), 24, PARAMS)
@@ -253,7 +254,8 @@ class TestTrace:
             assert is_positive(mu)
             bound = (PARAMS.alpha / math.pi) * total_mass(mu).real
             previous = 0.0
-            for size in (8, 16, 32, 64):
+            # the disk's basis tail past N reaches 1e-12 below N = 19
+            for size in (24, 32, 48, 64):
                 value = trace(build_from_measure(mu, size, PARAMS)).real
                 assert value >= previous - 1e-12
                 assert value <= bound + 1e-12
@@ -366,6 +368,58 @@ class TestTracePairing:
                                  "support"):
             trace_pairing(GaussianDensity(1.0, 1.0),
                           identity_operator(16, PARAMS))
+
+
+class TestRadialTracePairing:
+    """A disk or centred Gaussian pairs with band 0 of the transform alone."""
+
+    @staticmethod
+    def full_route(phi, op):
+        grid = _quadrature_grid(op.truncation, PARAMS,
+                                toeplitz._density_support(phi))
+        values = density_values(phi, grid.nodes)
+        transform = _ring_transform(op.entries, grid, PARAMS.alpha)
+        return (PARAMS.alpha / math.pi) * complex_fsum(
+            grid.weights * values * transform)
+
+    @pytest.mark.parametrize("size", [24, 64, 512])
+    def test_matches_full_route(self, size):
+        rng = np.random.default_rng(size)
+        ops = [identity_operator(size, PARAMS), TruncatedOperator(
+            rng.standard_normal((size, size))
+            + 1j * rng.standard_normal((size, size)), size, PARAMS)]
+        for phi in (UniformDisk(0.7 + 0.2j, 1.3), GaussianDensity(1.5, 16.0)):
+            for op in ops:
+                full = self.full_route(phi, op)
+                _, quad_side = trace_pairing(phi, op)
+                assert abs(quad_side - full) <= 1e-15 * abs(full), (phi, size)
+
+
+def mp_disk_tail(size, x):
+    """(X P(N, X) - N P(N + 1, X)) / X at 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        p = [mpmath.gammainc(a, 0, x, regularized=True)
+             for a in (size, size + 1)]
+        return float((x * p[0] - size * p[1]) / x)
+
+
+class TestDiskTruncation:
+    """A disk whose basis tail past N reaches 1e-12 is refused."""
+
+    @pytest.mark.parametrize("size", [8, 64, 512])
+    def test_tail_matches_mpmath(self, size):
+        for x in (1e-300, 1e-8, 0.5, 4.0, size / 2, size - 1e-9, size,
+                  size + 1.0, 3.0 * size, 1e6):
+            ref = mp_disk_tail(size, x)
+            got = toeplitz._disk_basis_tail(size, x)
+            assert abs(got - ref) <= 1e-12 * ref + 1e-300, (size, x)
+
+    def test_benchmark_disks_pass(self):
+        # radius up to 2 at N >= 64, alpha 1
+        assert toeplitz._disk_basis_tail(64, 4.0) <= 8.6e-55
+        op = build_from_measure(UniformDisk(2.0, 2.0), 64, PARAMS)
+        assert op.provenance == "closed-form(disk)"
 
 
 def dense_transform(entries, nodes):
@@ -507,6 +561,20 @@ class TestBandZeroTrace:
             full = (PARAMS.alpha / math.pi) * complex_fsum(
                 grid.weights * transform)
             assert abs(trace_via_berezin(op) - full) <= 1e-15 * abs(full)
+
+
+class TestCoveringGrid:
+
+    @pytest.mark.parametrize("alpha", [1e-307, 1e-310, 5e-324])
+    def test_cutoff_past_float_range_refused(self, alpha):
+        op = identity_operator(16, FockParams(alpha=alpha))
+        for transform in (trace_via_berezin, transform_l1_norm):
+            with pytest.raises(QuadratureError, match="covering grid"):
+                transform(op)
+
+    def test_smallest_alpha_that_fits_answers(self):
+        op = identity_operator(16, FockParams(alpha=1e-306))
+        assert trace_via_berezin(op) == pytest.approx(16.0, rel=1e-12)
 
 
 class TestBasisMatrix:
@@ -710,8 +778,10 @@ class TestClosedForms:
                      1e-12)
         assert np.array_equal(h.entries, h.entries.T)
 
-    @pytest.mark.parametrize("size", [64, 128])
-    @pytest.mark.parametrize("mu", CLOSED_FORM_DISKS, ids=["small", "wide"])
+    @pytest.mark.parametrize("mu, size", [
+        (CLOSED_FORM_DISKS[0], 64), (CLOSED_FORM_DISKS[0], 128),
+        (CLOSED_FORM_DISKS[1], 192), (CLOSED_FORM_DISKS[1], 256)],
+        ids=["small-64", "small-128", "wide-192", "wide-256"])
     def test_disk_matches_mpmath(self, mu, size):
         op = build_from_measure(mu, size, PARAMS)
         assert op.provenance == "closed-form(disk)"
@@ -740,17 +810,18 @@ class TestClosedForms:
         rest[0, 0] = 0.0
         assert not np.any(rest)
 
-    @pytest.mark.parametrize("mu", CLOSED_FORM_GAUSSIANS[:2]
-                             + CLOSED_FORM_DISKS,
-                             ids=["centred", "complex", "small", "wide"])
-    def test_quadrature_route_agrees(self, mu):
-        quad = build_from_density(as_density(mu), 64, PARAMS)
+    @pytest.mark.parametrize("mu, size", [
+        (CLOSED_FORM_GAUSSIANS[0], 64), (CLOSED_FORM_GAUSSIANS[1], 64),
+        (CLOSED_FORM_DISKS[0], 64), (CLOSED_FORM_DISKS[1], 192)],
+        ids=["centred", "complex", "small", "wide"])
+    def test_quadrature_route_agrees(self, mu, size):
+        quad = build_from_density(as_density(mu), size, PARAMS)
         assert quad.provenance.startswith("2d-quadrature")
-        exact = build_from_measure(mu, 64, PARAMS)
+        exact = build_from_measure(mu, size, PARAMS)
         assert np.max(np.abs(exact.entries - quad.entries)) < 2e-14
-        grid = _quadrature_grid(64, PARAMS, toeplitz._density_support(mu))
-        ring = _ring_pairing(mu, grid, 64, PARAMS.alpha, bilinear=True)
-        exact = build_hankel(mu, 64, PARAMS).entries
+        grid = _quadrature_grid(size, PARAMS, toeplitz._density_support(mu))
+        ring = _ring_pairing(mu, grid, size, PARAMS.alpha, bilinear=True)
+        exact = build_hankel(mu, size, PARAMS).entries
         assert np.max(np.abs(exact - ring)) < 2e-14
 
     @pytest.mark.parametrize("alpha, mu", [
@@ -759,7 +830,6 @@ class TestClosedForms:
         (1e-300, GaussianDensity(1.0, 1e300, center=3.0)),
         (1e300, GaussianDensity(1.0, 1e-300, center=3.0)),
         (1e300, GaussianDensity(1.0, 1e-300)),
-        (1.0, UniformDisk(1.0, 1e154)),
     ])
     def test_extreme_parameters_stay_finite(self, alpha, mu):
         params = FockParams(alpha=alpha)
@@ -767,4 +837,14 @@ class TestClosedForms:
             op = build_from_measure(mu, 16, params)
             h = build_hankel(mu, 16, params)
         assert np.all(np.isfinite(op.entries))
+        assert np.all(np.isfinite(h.entries))
+
+    def test_huge_disk_refused_without_overflow(self):
+        # alpha R^2 overflows; the Toeplitz build refuses the truncation,
+        # and the exact Hankel matrix stays finite
+        mu = UniformDisk(1.0, 1e154)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(TruncationError, match="kernel basis tail"):
+                build_from_measure(mu, 16, PARAMS)
+            h = build_hankel(mu, 16, PARAMS)
         assert np.all(np.isfinite(h.entries))
