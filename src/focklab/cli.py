@@ -26,7 +26,8 @@ from numpy.random import default_rng
 
 from . import __version__
 from .counterexample import CounterexampleParams, full_report
-from .errors import ConfigError, FocklabError, NonFiniteError
+from .errors import (ConfigError, FocklabError, NonFiniteError,
+                     ResourceError)
 from .fock import FockParams, kernel_continuity_probe
 from .lattice import convergence_study, rigidity_experiment
 from .measure import (GaussianDensity, PointMasses, UniformDisk,
@@ -38,6 +39,9 @@ from .toeplitz import (adjoint_isometry_check, build_from_measure,
                        trace_via_berezin, transform_l1_norm)
 
 DEFAULT_R_VALUES = tuple(2.0 ** -n for n in range(7))
+# the largest truncation a config may ask for: an N x N report peaks at
+# about 250 N^2 bytes of memory, 4 GiB at N = 4096
+TRUNCATION_BUDGET = 4096
 
 DEFAULT_TOLERANCES = {
     "mass_identity": 1e-7,        # | ||transform||_1 - |mu|(C) | / max(1, TV)
@@ -94,49 +98,106 @@ def _positive_real(value, path: str) -> float:
     return out
 
 
-def _parse_measure(obj, path: str) -> dict:
-    spec = _require_mapping(obj, path)
-    kind = spec.get("type")
-    if kind == "point_masses":
-        _check_keys(spec, path, {"type", "points"})
-        raw = spec.get("points")
-        if not isinstance(raw, list):
-            _fail(_join(path, "points"), "expected a list")
-        points = []
-        for i, entry in enumerate(raw):
-            ppath = f"{path}.points[{i}]"
-            point = _require_mapping(entry, ppath)
-            _check_keys(point, ppath, {"x", "y", "w_re", "w_im"})
-            if "x" not in point or "y" not in point:
-                _fail(ppath, "needs x and y")
-            points.append({
-                "x": _real(point["x"], _join(ppath, "x")),
-                "y": _real(point["y"], _join(ppath, "y")),
-                "w_re": _real(point.get("w_re", 1.0), _join(ppath, "w_re")),
-                "w_im": _real(point.get("w_im", 0.0), _join(ppath, "w_im")),
-            })
-        return {"type": kind, "points": points}
-    if kind == "uniform_disk":
-        _check_keys(spec, path, {"type", "radius", "amplitude"})
-        if "radius" not in spec:
-            _fail(_join(path, "radius"), "required")
-        return {"type": kind,
-                "radius": _positive_real(spec["radius"],
-                                         _join(path, "radius")),
-                "amplitude": _real(spec.get("amplitude", 1.0),
-                                   _join(path, "amplitude"))}
-    if kind == "gaussian":
-        _check_keys(spec, path, {"type", "amplitude", "beta", "x", "y"})
-        if "beta" not in spec:
-            _fail(_join(path, "beta"), "required")
-        return {"type": kind,
-                "amplitude": _real(spec.get("amplitude", 1.0),
-                                   _join(path, "amplitude")),
-                "beta": _positive_real(spec["beta"], _join(path, "beta")),
-                "x": _real(spec.get("x", 0.0), _join(path, "x")),
-                "y": _real(spec.get("y", 0.0), _join(path, "y"))}
-    _fail(_join(path, "type"),
-          "expected one of point_masses, uniform_disk, gaussian")
+def _truncation(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, "expected an integer")
+    if value < 8:
+        _fail(path, "must be at least 8")
+    if value > TRUNCATION_BUDGET:
+        raise ResourceError(
+            f"truncation {value} is over the budget of {TRUNCATION_BUDGET}: "
+            f"an N x N report takes about 250 N^2 bytes")
+    return value
+
+
+def _fields(obj, path: str, table: dict) -> dict:
+    """Parse an object by its field table, key -> (parser, default), where
+    a default of ... marks a required field: unknown keys are refused
+    first, then missing required fields, then each field in table order."""
+    _check_keys(_require_mapping(obj, path), path, table)
+    for key, (_, default) in table.items():
+        if default is ... and key not in obj:
+            _fail(_join(path, key), "required")
+    return {key: parse(obj.get(key, default), _join(path, key))
+            for key, (parse, default) in table.items()}
+
+
+def _points(raw, path: str) -> list:
+    if not isinstance(raw, list):
+        _fail(path, "expected a list")
+    return [_fields(entry, f"{path}[{i}]", _POINT)
+            for i, entry in enumerate(raw)]
+
+
+_POINT = {"x": (_real, ...), "y": (_real, ...), "w_re": (_real, 1.0),
+          "w_im": (_real, 0.0)}
+_KIND = (lambda value, path: value, ...)  # matched to its table already
+_MEASURES = {
+    "point_masses": {"type": _KIND, "points": (_points, None)},
+    "uniform_disk": {"type": _KIND, "radius": (_positive_real, ...),
+                     "amplitude": (_real, 1.0)},
+    "gaussian": {"type": _KIND, "amplitude": (_real, 1.0),
+                 "beta": (_positive_real, ...), "x": (_real, 0.0),
+                 "y": (_real, 0.0)},
+}
+
+
+def _measure(obj, path: str) -> dict | None:
+    if obj is None:
+        return None
+    kind = _require_mapping(obj, path).get("type")
+    if not isinstance(kind, str) or kind not in _MEASURES:
+        _fail(_join(path, "type"),
+              "expected one of point_masses, uniform_disk, gaussian")
+    return _fields(obj, path, _MEASURES[kind])
+
+
+def _exponents(obj, path: str) -> tuple:
+    table = {"p": (_real, 4.0 / 3.0), "q": (_real, 4.0)}
+    exponents = _fields({} if obj is None else obj, path, table)
+    for name, value in exponents.items():
+        if value < 1.0:
+            _fail(_join(path, name), "must be at least 1")
+    return exponents["p"], exponents["q"]
+
+
+def _r_values(raw, path: str) -> tuple:
+    if raw is None:
+        return DEFAULT_R_VALUES
+    if not isinstance(raw, list) or not raw:
+        _fail(path, "expected a nonempty list")
+    values = tuple(_positive_real(v, f"{path}[{i}]")
+                   for i, v in enumerate(raw))
+    if any(b >= a for a, b in zip(values, values[1:])):
+        _fail(path, "must be strictly decreasing")
+    return values
+
+
+def _tolerances(obj, path: str) -> dict:
+    tolerances = {}
+    for name, value in _require_mapping({} if obj is None else obj,
+                                        path).items():
+        if name not in DEFAULT_TOLERANCES:
+            _fail(_join(path, name), "unknown tolerance name")
+        tolerances[name] = _positive_real(value, _join(path, name))
+    return tolerances
+
+
+def _format(value, path: str) -> str:
+    if value not in ("json", "csv"):
+        _fail(path, "expected json or csv")
+    return value
+
+
+def _path(value, path: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        _fail(path, "expected a string")
+    return value
+
+
+def _output(obj, path: str) -> tuple:
+    table = {"format": (_format, "json"), "path": (_path, None)}
+    return tuple(_fields({} if obj is None else obj, path, table).values())
 
 
 @dataclass
@@ -198,73 +259,23 @@ class RunConfig:
         return mu
 
 
-_TOP_KEYS = {"alpha", "truncation", "measure", "exponents",
-             "r_values", "tolerances", "output"}
+_TOP = {"alpha": (_positive_real, 1.0), "truncation": (_truncation, 64),
+        "measure": (_measure, None), "exponents": (_exponents, None),
+        "r_values": (_r_values, None), "tolerances": (_tolerances, None),
+        "output": (_output, None)}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config JSON; unknown keys name their dotted path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a decode error, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}")
-    top = _require_mapping(raw, "")
-    _check_keys(top, "", _TOP_KEYS)
-
-    alpha = _positive_real(top.get("alpha", 1.0), "alpha")
-
-    truncation = top.get("truncation", 64)
-    if isinstance(truncation, bool) or not isinstance(truncation, int):
-        _fail("truncation", "expected an integer")
-    if truncation < 8:
-        _fail("truncation", "must be at least 8")
-
-    measure = None
-    if top.get("measure") is not None:
-        measure = _parse_measure(top["measure"], "measure")
-
-    p, q = 4.0 / 3.0, 4.0
-    if top.get("exponents") is not None:
-        eobj = _require_mapping(top["exponents"], "exponents")
-        _check_keys(eobj, "exponents", {"p", "q"})
-        p = _real(eobj.get("p", p), "exponents.p")
-        q = _real(eobj.get("q", q), "exponents.q")
-        for name, value in (("p", p), ("q", q)):
-            if value < 1.0:
-                _fail(_join("exponents", name), "must be at least 1")
-
-    r_values = DEFAULT_R_VALUES
-    if top.get("r_values") is not None:
-        if not isinstance(top["r_values"], list) or not top["r_values"]:
-            _fail("r_values", "expected a nonempty list")
-        values = [_positive_real(v, f"r_values[{i}]")
-                  for i, v in enumerate(top["r_values"])]
-        if any(b >= a for a, b in zip(values, values[1:])):
-            _fail("r_values", "must be strictly decreasing")
-        r_values = tuple(values)
-
-    tolerances = {}
-    if top.get("tolerances") is not None:
-        tobj = _require_mapping(top["tolerances"], "tolerances")
-        for name, value in tobj.items():
-            if name not in DEFAULT_TOLERANCES:
-                _fail(_join("tolerances", name), "unknown tolerance name")
-            tolerances[name] = _positive_real(value,
-                                              _join("tolerances", name))
-
-    output_format, output_path = "json", None
-    if top.get("output") is not None:
-        oobj = _require_mapping(top["output"], "output")
-        _check_keys(oobj, "output", {"format", "path"})
-        output_format = oobj.get("format", "json")
-        if output_format not in ("json", "csv"):
-            _fail("output.format", "expected json or csv")
-        output_path = oobj.get("path")
-        if output_path is not None and not isinstance(output_path, str):
-            _fail("output.path", "expected a string")
-
-    return RunConfig(alpha, truncation, measure, (p, q), r_values,
-                     tolerances, output_format, output_path)
+    top = _fields(raw, "", _TOP)
+    output_format, output_path = top.pop("output")
+    return RunConfig(**top, output_format=output_format,
+                     output_path=output_path)
 
 
 def build_measure(spec: dict):
@@ -349,6 +360,11 @@ def render_csv(report: dict, header, rows) -> str:
 # ---------------------------------------------------------------------------
 # subcommand runners; each returns (data, (csv_header, csv_rows), checks)
 
+def _records_table(records: list[dict]):
+    """CSV header and rows of a list of records sharing their keys."""
+    return tuple(records[0]), [tuple(r.values()) for r in records]
+
+
 def run_berezin(config: RunConfig, seed):
     mu = config.require_measure()
     params = config.params()
@@ -370,8 +386,7 @@ def run_berezin(config: RunConfig, seed):
     if is_positive(mu):
         residual = abs(l1 - tv) / max(1.0, tv)
         checks.append(_bounded(config, "mass_identity", residual))
-    rows = [(s["z_re"], s["z_im"], s["re"], s["im"]) for s in data["samples"]]
-    return data, (("z_re", "z_im", "re", "im"), rows), checks
+    return data, _records_table(data["samples"]), checks
 
 
 def _matrix_report(op):
@@ -423,8 +438,7 @@ def run_trace_check(config: RunConfig, seed):
     }
     checks = [_bounded(config, "trace", mass_residual),
               _bounded(config, "trace_transform", transform_residual)]
-    rows = [(k, v) for k, v in data.items()]
-    return data, (("name", "value"), rows), checks
+    return data, (("name", "value"), list(data.items())), checks
 
 
 def run_schatten(config: RunConfig, seed):
@@ -466,36 +480,27 @@ def run_lattice_approx(config: RunConfig, seed):
                       for a, b in zip(study, study[1:])), default=0.0)
     checks = [_bounded(config, "nuclear_ceiling", worst_excess),
               _bounded(config, "error_decrease", worst_rise)]
-    rows = [(float(row.r), float(row.s1_error), float(row.op_error),
-             float(row.nuclear_bound)) for row in study]
-    return data, (("r", "s1_error", "op_error", "nuclear_bound"), rows), checks
+    return data, _records_table(data["rows"]), checks
 
 
 def run_rigidity(config: RunConfig, seed):
     mu = config.require_measure()
     p, q = config.exponents
-    # the experiment's convention wants the pair ordered with q <= p; the
-    # bracket itself is exponent independent, so ordering loses nothing
-    pq_grid = [(max(p, q), min(p, q))]
     slack = config.tolerance("rigidity_slack")
-    report = rigidity_experiment(mu, pq_grid, config.params(), slack=slack)
-    data = {
-        "lower": float(report.lower),
-        "upper": float(report.upper),
-        "slack": float(report.slack),
-        "within_slack": bool(report.within_slack),
-        "rows": [{"p": float(row.p), "q": float(row.q),
-                  "lower": float(row.lower), "upper": float(row.upper),
-                  "kernel_norm_residual": float(row.kernel_norm_residual)}
-                 for row in report.rows],
-    }
+    # the experiment's convention wants q <= p; the bracket itself is
+    # exponent independent, so ordering the pair loses nothing
+    report = rigidity_experiment(mu, max(p, q), min(p, q), config.params(),
+                                 slack=slack)
+    row = {"p": report.p, "q": report.q, "lower": float(report.lower),
+           "upper": float(report.upper),
+           "kernel_norm_residual": float(report.kernel_norm_residual)}
+    data = {"lower": row["lower"], "upper": row["upper"],
+            "slack": float(report.slack),
+            "within_slack": bool(report.within_slack), "rows": [row]}
     width = (report.upper - report.lower) / report.lower \
         if report.lower > 0.0 else 0.0
     checks = [_check("rigidity_slack", width, slack, report.within_slack)]
-    rows = [(float(row.p), float(row.q), float(row.lower), float(row.upper),
-             float(row.kernel_norm_residual)) for row in report.rows]
-    return data, (("p", "q", "lower", "upper", "kernel_norm_residual"),
-                  rows), checks
+    return data, _records_table(data["rows"]), checks
 
 
 def run_trace_pairing(config: RunConfig, seed):
@@ -512,8 +517,7 @@ def run_trace_pairing(config: RunConfig, seed):
         "residual": float(residual),
     }
     checks = [_bounded(config, "pairing", residual)]
-    rows = [(k, v) for k, v in data.items()]
-    return data, (("name", "value"), rows), checks
+    return data, (("name", "value"), list(data.items())), checks
 
 
 def run_counterexample(config: RunConfig, seed):
@@ -675,9 +679,7 @@ def main(argv=None) -> int:
         config = parse_config(_read_config(args.config) if args.config
                                else "{}")
         if args.truncation is not None:
-            if args.truncation < 8:
-                raise ConfigError("truncation: must be at least 8")
-            config.truncation = args.truncation
+            config.truncation = _truncation(args.truncation, "truncation")
         if args.format is not None:
             config.output_format = args.format
         if args.out is not None:

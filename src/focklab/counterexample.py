@@ -124,29 +124,6 @@ def _slow_part(params: CounterexampleParams, logs: _IndexLogs,
     return logs.k * math.log(params.b) + exponent * logs.log_n
 
 
-def _log_coeffs(params: CounterexampleParams, logs: _IndexLogs,
-                deviation: float, include_decay: bool) -> np.ndarray:
-    """log of b^k sqrt(alpha^n / n!) n^deviation [n^(gap/2)]."""
-    return (_slow_part(params, logs, deviation, include_decay)
-            - 0.5 * (logs.log_fact - logs.log_pow))
-
-
-def log_f_coeffs(params: CounterexampleParams) -> np.ndarray:
-    """Nonzero coefficient logs of the first function, decay-weight form."""
-    logs = _index_logs(params)
-    return _log_coeffs(params, logs, 0.25 - 0.5 / params.p_conjugate, True)
-
-
-def log_f_coeffs_dual(params: CounterexampleParams) -> np.ndarray:
-    """The same coefficients in the conjugate-exponent form (no decay factor).
-
-    Algebraically identical to log_f_coeffs; evaluating both ways checks the
-    exponent bookkeeping.
-    """
-    logs = _index_logs(params)
-    return _log_coeffs(params, logs, 0.25 - 0.5 / params.q_conjugate, False)
-
-
 def _sum_terms(slow_part: np.ndarray, exponent: float, weight_sign: float,
                logs: _IndexLogs) -> np.ndarray:
     """Terms |c|^e (n! / alpha^n)^(e/2) n^(sign * (e/4 - 1/2)), log-evaluated.

@@ -16,15 +16,13 @@ import numpy as np
 from .errors import FocklabError, ResourceError
 from .fock import FockParams, conjugate_exponent, kernel_grid, norm
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
-                      UniformDisk, berezin_lr_norm, density_values,
-                      disk_cell_area, require_positive, support_radius_of,
-                      total_variation)
-from .numerics import complex_fsum, erf, gauss_legendre
+                      UniformDisk, berezin_lr_norm, disk_cell_area,
+                      require_positive, total_variation)
+from .numerics import complex_fsum, erf
 from .toeplitz import (TruncatedOperator, _pairing_matrix, build_from_measure,
                        schatten_norm, singular_values)
 
 _CELL_DROP = 1e-15
-_CELL_QUAD_NODES = 8
 _CELL_BUDGET = 2 * 10 ** 6  # squares one partition may visit
 
 
@@ -122,26 +120,9 @@ def _gaussian_cells(mu: GaussianDensity, r: float):
     return i, j, masses.ravel()
 
 
-def _quadrature_cells(mu, r: float):
-    """Gauss-Legendre cell masses of a sampled density, one row at a time."""
-    reach = _budget_reach(np.floor(support_radius_of(mu) / r + 0.5) + 1.0, r)
-    i, j = _block(*_cell_index(mu.center.real, mu.center.imag, r), reach)
-    x, w = gauss_legendre(_CELL_QUAD_NODES)
-    offset = 0.5 * r * x
-    cell_w = np.outer(0.5 * r * w, 0.5 * r * w).ravel()
-    masses = np.empty(i.size, dtype=complex)
-    for row in range(0, i.size, 2 * reach + 1):
-        cols = slice(row, row + 2 * reach + 1)
-        nodes = ((i[row] * r + offset)[None, :, None]
-                 + 1j * (j[cols, None] * r + offset)[:, None, :])
-        values = density_values(mu, nodes.ravel()).reshape(-1, cell_w.size)
-        masses[cols] = [complex_fsum(cell_w * v) for v in values]
-    nonzero = masses != 0j
-    return i[nonzero], j[nonzero], masses[nonzero]
-
-
 def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
-    """Cell masses of the measure on the lattice of side r."""
+    """Cell masses of point masses, a uniform disk or a Gaussian on the
+    lattice of side r."""
     if not r > 0.0:
         raise ValueError("lattice side must be positive")
     if isinstance(mu, PointMasses):
@@ -151,7 +132,8 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     elif isinstance(mu, GaussianDensity):
         i, j, masses = _gaussian_cells(mu, r)
     else:
-        i, j, masses = _quadrature_cells(mu, r)
+        raise FocklabError("lattice partitions take point masses, uniform "
+                           "disks and Gaussians")
     dropped = np.abs(masses) < _CELL_DROP * total_variation(mu)
     i, j, kept = i[~dropped], j[~dropped], masses[~dropped]
     # ring-major: Chebyshev ring, then counterclockwise angle in [0, 2 pi)
@@ -213,50 +195,40 @@ def convergence_study(mu: MeasureSymbol, r_values, size: int,
 
 
 @dataclass(frozen=True)
-class RigidityRow:
+class RigidityReport:
     p: float
     q: float
     lower: float
     upper: float
     kernel_norm_residual: float
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    rows: tuple[RigidityRow, ...]
-    lower: float
-    upper: float
     slack: float
     within_slack: bool
 
 
-def rigidity_experiment(mu: MeasureSymbol, pq_grid, params: FockParams,
-                        r: float = 1.0 / 16.0,
+def rigidity_experiment(mu: MeasureSymbol, p: float, q: float,
+                        params: FockParams, r: float = 1.0 / 16.0,
                         slack: float = 0.05) -> RigidityReport:
-    """Bracket the nuclear norm of a positive-measure operator, per (p, q).
+    """Bracket the nuclear norm of a positive-measure operator at (p, q).
 
     The lower witness is the transform's mass, the upper the finest lattice
     rep's nuclear bound; neither depends on (p, q).  What does vary is the
     quadrature residual of the unit-kernel-norm identity at the exponents in
-    play, reported per row as evidence the bracket is exponent-independent.
-    On a grid laid about the kernel's centre c, log |k_c(w)| e^{-alpha|w|^2/2}
+    play, reported as evidence the bracket is exponent-independent.  On a
+    grid laid about the kernel's centre c, log |k_c(w)| e^{-alpha|w|^2/2}
     is -alpha |w - c|^2 / 2 at every node whatever c is, so one grid and one
     norm per exponent serve every cell of the partition.
     """
     require_positive(mu, "nuclear-norm rigidity bracketing")
+    if not q <= p:
+        raise FocklabError("rigidity expects q <= p")
     part = lattice_partition(mu, r)
     upper = lattice_nuclear_bound(part, params)
     lower = (params.alpha / math.pi) * berezin_lr_norm(mu, 1.0, params)
     grid = kernel_grid(params.alpha, 0.0)
     weighted_logs = -0.5 * params.alpha * np.abs(grid.nodes) ** 2
-    rows = []
-    for p, q in pq_grid:
-        if not q <= p:
-            raise FocklabError("rigidity grid expects q <= p")
-        residual = max(abs(norm(weighted_logs, exponent, params, grid) - 1.0)
-                       for exponent in (conjugate_exponent(p), q))
-        rows.append(RigidityRow(p=float(p), q=float(q), lower=lower,
-                                upper=upper, kernel_norm_residual=residual))
+    residual = max(abs(norm(weighted_logs, exponent, params, grid) - 1.0)
+                   for exponent in (conjugate_exponent(p), q))
     within = upper <= lower * (1.0 + slack) + 1e-12
-    return RigidityReport(rows=tuple(rows), lower=lower, upper=upper,
-                          slack=slack, within_slack=within)
+    return RigidityReport(p=float(p), q=float(q), lower=lower, upper=upper,
+                          kernel_norm_residual=residual, slack=slack,
+                          within_slack=within)

@@ -377,18 +377,11 @@ def integrate_plane(f, grid: PolarGrid) -> complex:
     return complex_fsum(grid.weights * values)
 
 
-def lr_norm(f, grid: PolarGrid, r: float, extra_samples=()) -> float:
-    """L^r(dA) norm of ``f`` over the grid; r = inf takes the node supremum.
-
-    ``extra_samples`` lets callers fold in probe values at points the polar
-    grid cannot hit (its radii exclude the origin).
-    """
-    values = _samples(f, grid)
-    mags = np.abs(values)
-    extras = [abs(complex(v)) for v in extra_samples]
+def lr_norm(f, grid: PolarGrid, r: float) -> float:
+    """L^r(dA) norm of ``f`` over the grid; r = inf takes the node supremum."""
+    mags = np.abs(_samples(f, grid))
     if r == math.inf:
-        peak = float(mags.max()) if mags.size else 0.0
-        return max([peak] + extras) if extras else peak
+        return float(mags.max()) if mags.size else 0.0
     if not r >= 1.0:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {r!r}")
     return math.fsum(grid.weights * mags ** r) ** (1.0 / r)

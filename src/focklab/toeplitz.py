@@ -34,12 +34,6 @@ _BLOCK_SPAN = 0.5 * math.log(_FLOAT_MAX)
 _PAIRING_CHUNK_BYTES = 4 * 2 ** 20
 
 
-def _freeze(entries: np.ndarray) -> np.ndarray:
-    entries = np.ascontiguousarray(entries, dtype=complex)
-    entries.setflags(write=False)
-    return entries
-
-
 @dataclass(frozen=True)
 class TruncatedOperator:
     """N x N matrix of an operator against the normalized monomial basis.
@@ -54,27 +48,20 @@ class TruncatedOperator:
     provenance: str = ""
 
     def __post_init__(self):
-        entries = _freeze(self.entries)
+        entries = np.ascontiguousarray(self.entries, dtype=complex)
+        entries.setflags(write=False)
         if entries.shape != (self.truncation, self.truncation):
             raise ValueError("entries must be truncation x truncation")
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
+class HankelMatrix(TruncatedOperator):
     """Complex symmetric (not Hermitian) N x N bilinear-pairing matrix."""
 
-    entries: np.ndarray
-    truncation: int
-    params: FockParams
-
     def __post_init__(self):
-        entries = _freeze(self.entries)
-        if entries.shape != (self.truncation, self.truncation):
-            raise ValueError("entries must be truncation x truncation")
-        if not np.array_equal(entries, entries.T):
+        super().__post_init__()
+        if not np.array_equal(self.entries, self.entries.T):
             raise ValueError("hankel entries must be symmetric")
-        object.__setattr__(self, "entries", entries)
 
 
 def _unit_power(z: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from focklab import cli
-from focklab.cli import (build_measure, main, parse_config, render_csv,
-                         render_json)
+from focklab.cli import (TRUNCATION_BUDGET, build_measure, main, parse_config,
+                         render_csv, render_json)
 from focklab.errors import ConfigError, ResourceError
 from focklab.fock import FockParams
 from focklab.measure import (Density, GaussianDensity, PointMasses,
@@ -51,7 +53,105 @@ def assert_exit_two(capsys, argv, prefix):
     assert captured.err.startswith(prefix), captured.err
 
 
+# malformed configs with their full messages, as the parser gave them
+# before it read objects from field tables; only a point entry missing x
+# or y reads differently (it said "measure.points[0]: needs x and y")
+MALFORMED = [
+    ("[]", "expected an object"),
+    ("nope", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"alpha": null}', "alpha: expected a number"),
+    ('{"alpha": 1e400}', "alpha: must be finite"),
+    ('{"truncation": 8.5}', "truncation: expected an integer"),
+    ('{"measure": []}', "measure: expected an object"),
+    ('{"measure": {"type": ["x"]}}',
+     "measure.type: expected one of point_masses, uniform_disk, gaussian"),
+    ('{"measure": {"type": "point_masses"}}',
+     "measure.points: expected a list"),
+    ('{"measure": {"type": "point_masses", "points": [3]}}',
+     "measure.points[0]: expected an object"),
+    ('{"measure": {"type": "point_masses", "points": [{"y": 1}]}}',
+     "measure.points[0].x: required"),
+    ('{"measure": {"type": "point_masses", "points": [{"x": 1}]}}',
+     "measure.points[0].y: required"),
+    ('{"measure": {"type": "point_masses", '
+     '"points": [{"x": 0, "y": 0, "w_im": null}]}}',
+     "measure.points[0].w_im: expected a number"),
+    ('{"measure": {"type": "uniform_disk"}}', "measure.radius: required"),
+    ('{"measure": {"type": "uniform_disk", "radius": -1, "amplitude": "a"}}',
+     "measure.radius: must be positive"),
+    ('{"measure": {"type": "uniform_disk", "radius": 0, "bogus": 1}}',
+     "measure.bogus: unknown key"),
+    ('{"measure": {"type": "gaussian", "amplitude": "a"}}',
+     "measure.beta: required"),
+    ('{"measure": {"type": "gaussian", "beta": -1, "amplitude": "a"}}',
+     "measure.amplitude: expected a number"),
+    ('{"exponents": {"p": 0.5, "q": "a"}}', "exponents.q: expected a number"),
+    ('{"exponents": {"q": 0.5, "p": 0.9}}', "exponents.p: must be at least 1"),
+    ('{"r_values": [0.5, -1]}', "r_values[1]: must be positive"),
+    ('{"tolerances": {"trace": "x"}}', "tolerances.trace: expected a number"),
+    ('{"output": {"format": ["json"]}}', "output.format: expected json or csv"),
+    ('{"output": {"path": 3}}', "output.path: expected a string"),
+]
+
+KINDS = ["point_masses", "uniform_disk", "gaussian"]
+SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+           | st.floats() | st.text(max_size=6)
+           | st.sampled_from(KINDS + ["json", "csv", "trace"]))
+JSON_VALUES = st.recursive(SCALARS, lambda children: (
+    st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=10)
+
+
+def _shaped(keys, values):
+    """Objects holding some of the given keys, each with a value drawn from
+    values or, less often, any JSON value."""
+    return st.fixed_dictionaries({}, optional={key: values | JSON_VALUES
+                                               for key in keys})
+
+
+NUMBERS = st.floats(-3.0, 3.0) | st.integers(0, 5000)
+POINTS = st.lists(_shaped(["x", "y", "w_re", "w_im"], NUMBERS), max_size=3)
+MEASURES = _shaped(["type", "points", "radius", "amplitude", "beta", "x",
+                    "y"], st.sampled_from(KINDS) | POINTS | NUMBERS)
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "alpha": NUMBERS | JSON_VALUES,
+    "truncation": NUMBERS | JSON_VALUES,
+    "measure": MEASURES | JSON_VALUES,
+    "exponents": _shaped(["p", "q"], NUMBERS) | JSON_VALUES,
+    "r_values": st.lists(NUMBERS, max_size=3) | JSON_VALUES,
+    "tolerances": _shaped(["trace", "pairing"], NUMBERS) | JSON_VALUES,
+    "output": _shaped(["format", "path"], st.sampled_from(["json", "csv"]))
+    | JSON_VALUES})
+
+
 class TestParseConfig:
+
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_malformed_message(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIGS | JSON_VALUES)
+    @example({"measure": {"type": ["x"]}})
+    @example({"measure": {"type": "point_masses", "points": [{"x": {}}]}})
+    def test_any_json_parses_or_is_refused(self, value):
+        try:
+            config = parse_config(json.dumps(value))
+        except ConfigError:
+            return
+        except ResourceError as exc:
+            assert value["truncation"] > TRUNCATION_BUDGET
+            assert str(exc).startswith("truncation ")
+            return
+        assert isinstance(config, cli.RunConfig)
+
+    def test_truncation_budget(self):
+        assert parse_config('{"truncation": 4096}').truncation == 4096
+        with pytest.raises(ResourceError, match="^truncation 4097 "):
+            parse_config('{"truncation": 4097}')
 
     def test_minimal_fills_defaults(self):
         config = parse_config(MINIMAL)
@@ -430,6 +530,46 @@ class TestRefusedConfigs:
             "measure": {"type": "uniform_disk", "radius": 1.0}}))
         assert_exit_two(capsys, [subcommand, "--config", path],
                         "QuadratureError: covering grid at alpha 1e-310")
+
+    @pytest.mark.parametrize("subcommand, truncation", [
+        ("toeplitz", 4097), ("toeplitz", 100000), ("trace-check", 100000),
+        ("hankel", 100000), ("hankel", 3000000000)])
+    def test_truncation_over_budget(self, tmp_path, capsys, subcommand,
+                                    truncation):
+        # 100000 ended in an _ArrayMemoryError traceback, 3000000000 in
+        # "ValueError: array is too big"
+        path = write(tmp_path, "big.json", json.dumps({
+            "truncation": truncation,
+            "measure": {"type": "uniform_disk", "radius": 1.0}}))
+        start = time.monotonic()
+        assert_exit_two(capsys, [subcommand, "--config", path],
+                        f"ResourceError: truncation {truncation} ")
+        assert time.monotonic() - start < 2.0
+
+    def test_truncation_flag_over_budget(self, tmp_path, capsys):
+        path = write(tmp_path, "pm.json", MINIMAL)
+        start = time.monotonic()
+        assert_exit_two(capsys, ["toeplitz", "--config", path,
+                                 "--truncation", "100000"],
+                        "ResourceError: truncation 100000 ")
+        assert time.monotonic() - start < 2.0
+
+    def test_truncation_flag_below_floor(self, tmp_path, capsys):
+        path = write(tmp_path, "pm.json", MINIMAL)
+        assert_exit_two(capsys, ["toeplitz", "--config", path,
+                                 "--truncation", "4"],
+                        "ConfigError: truncation: must be at least 8")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000,  # json.loads raised RecursionError: exit 1
+        '{"truncation": ' + "1" * 5000 + "}",  # ValueError past 4300 digits
+    ])
+    def test_undecodable_config(self, tmp_path, capsys, text):
+        path = write(tmp_path, "deep.json", text)
+        start = time.monotonic()
+        assert_exit_two(capsys, ["toeplitz", "--config", path],
+                        "ConfigError: not valid JSON: ")
+        assert time.monotonic() - start < 2.0
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
     def test_subnormal_counterexample_alpha(self, tmp_path, capsys, alpha):

@@ -16,8 +16,6 @@ from focklab.counterexample import (
     divergence_sum,
     full_report,
     growth_criterion_check,
-    log_f_coeffs,
-    log_f_coeffs_dual,
     membership_sums,
     pairing_term_identity,
 )
@@ -88,28 +86,6 @@ class TestIndices:
 
 
 class TestCoefficients:
-
-    def test_first_coefficient_log_closed_form(self):
-        # log a_16 = ln b + (0 - ln 16!)/2 + (1/4 - 1/8) ln 16 - (1/4) ln 16
-        expected = (math.log(1.9) - 0.5 * math.lgamma(17.0)
-                    + (0.25 - 0.125) * math.log(16.0) - 0.25 * math.log(16.0))
-        assert log_f_coeffs(DEFAULTS)[0] == pytest.approx(expected, rel=1e-14)
-
-    def test_dual_form_identity(self):
-        # the decay-weight and conjugate-exponent forms are the same numbers
-        lf = log_f_coeffs(DEFAULTS)
-        lfd = log_f_coeffs_dual(DEFAULTS)
-        assert np.max(np.abs(lf - lfd) / np.abs(lf)) < 1e-12
-        lo = log_f_coeffs(OFFGRID)
-        lod = log_f_coeffs_dual(OFFGRID)
-        assert np.max(np.abs(lo - lod) / np.abs(lo)) < 1e-12
-
-    def test_series_structure(self):
-        # one finite coefficient log per lacunary index, in either form
-        count = len(build_indices(DEFAULTS))
-        for logs in (log_f_coeffs(DEFAULTS), log_f_coeffs_dual(DEFAULTS)):
-            assert logs.shape == (count,)
-            assert np.all(np.isfinite(logs))
 
     def test_coefficient_product_nonnegative(self):
         # both sequences are positive reals, so every diagonal pairing term

@@ -320,12 +320,6 @@ class TestLrNorm:
         val = lr_norm(lambda z: np.exp(-np.abs(z) ** 2 / 2), grid, 2.0)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
-    def test_sup_includes_extra_probes(self):
-        grid = polar_grid(4.0, 30, 8)
-        f = lambda z: np.exp(-np.abs(z) ** 2)
-        assert lr_norm(f, grid, math.inf) < 1.0
-        assert lr_norm(f, grid, math.inf, extra_samples=[1.0]) == 1.0
-
     def test_exponent_domain(self):
         grid = polar_grid(1.0, 4, 4)
         with pytest.raises(ValueError):
