@@ -40,8 +40,10 @@ from .toeplitz import (adjoint_isometry_check, build_from_measure,
 
 DEFAULT_R_VALUES = tuple(2.0 ** -n for n in range(7))
 # the largest truncation a config may ask for: an N x N report peaks at
-# about 250 N^2 bytes of memory, 4 GiB at N = 4096
+# about 70 N^2 bytes of memory, 1.1 GiB at N = 4096
 TRUNCATION_BUDGET = 4096
+# floats a matrix report formats and writes at a time
+_BLOCK_FLOATS = 2 ** 12
 
 DEFAULT_TOLERANCES = {
     "mass_identity": 1e-7,        # | ||transform||_1 - |mu|(C) | / max(1, TV)
@@ -106,7 +108,7 @@ def _truncation(value, path: str) -> int:
     if value > TRUNCATION_BUDGET:
         raise ResourceError(
             f"truncation {value} is over the budget of {TRUNCATION_BUDGET}: "
-            f"an N x N report takes about 250 N^2 bytes")
+            f"an N x N report takes about 70 N^2 bytes")
     return value
 
 
@@ -304,57 +306,77 @@ def _bounded(config: RunConfig, name: str, value: float) -> dict:
     return _check(name, value, tol, value <= tol)
 
 
-def _json_matrix(entries: np.ndarray) -> str:
-    """json.dumps(indent=2) of a complex matrix as [[[re, im], ...], ...],
-    as the value of a key in a report's data block.
+def _row_blocks(entries: np.ndarray):
+    """(row count, the repr of each float) of a finite complex matrix, a
+    block of rows at a time, the floats in [re, im] order.
 
-    One %-format over tolist() writes every float by repr, as json does.
+    Each distinct magnitude is formatted once, and a float's string is its
+    magnitude's by rank: repr(-x) is "-" + repr(x) for every finite x,
+    -0.0 included.
     """
-    rows, cols = entries.shape
-    pair = "        [\n          %r,\n          %r\n        ]"
-    row = "      [\n" + ",\n".join([pair] * cols) + "\n      ]"
-    template = "[\n" + ",\n".join([row] * rows) + "\n    ]"
-    return template % tuple(entries.view(float).ravel().tolist())
+    floats = entries.view(float).reshape(entries.shape[0], -1)
+    magnitudes = np.abs(floats).ravel()
+    magnitudes.sort()
+    distinct = magnitudes[np.concatenate(
+        ([True], magnitudes[1:] != magnitudes[:-1]))]
+    del magnitudes
+    table = np.fromiter(map(repr, distinct.tolist()), dtype=object,
+                        count=distinct.size)
+    step = max(1, _BLOCK_FLOATS // floats.shape[1])
+    for start in range(0, floats.shape[0], step):
+        block = floats[start:start + step].ravel()
+        strings = table[np.searchsorted(distinct, np.abs(block))]
+        negative = np.signbit(block)
+        strings[negative] = "-" + strings[negative]
+        yield len(block) // floats.shape[1], tuple(strings.tolist())
 
 
-def render_json(report: dict) -> str:
-    """json.dumps(report, indent=2) and a newline.
+def render_json(report: dict, write) -> None:
+    """Write json.dumps(report, indent=2) and a newline through ``write``
+    (such as sys.stdout.write).
 
     A matrix report's entries stand in the envelope as a placeholder
-    string, which _json_matrix's text then replaces.
+    string. The text on either side of it frames the matrix, which goes
+    out a block of rows at a time.
     """
     entries = report["data"].get("entries")
     if not isinstance(entries, np.ndarray):
-        return json.dumps(report, indent=2) + "\n"
+        write(json.dumps(report, indent=2) + "\n")
+        return
     envelope = dict(report, data=dict(report["data"], entries="\0"))
-    return json.dumps(envelope, indent=2).replace(
-        '"\\u0000"', _json_matrix(entries), 1) + "\n"
+    head, _, tail = json.dumps(envelope, indent=2).partition('"\\u0000"')
+    pair = "        [\n          %s,\n          %s\n        ]"
+    row = "      [\n" + ",\n".join([pair] * entries.shape[1]) + "\n      ]"
+    templates = {}
+    write(head + "[\n")
+    separator = ""
+    for count, strings in _row_blocks(entries):
+        if count not in templates:
+            templates[count] = ",\n".join([row] * count)
+        write(separator)
+        write(templates[count] % strings)
+        separator = ",\n"
+    write("\n    ]" + tail + "\n")
 
 
-def _csv_matrix(entries: np.ndarray) -> str:
-    """Rows m,n,re,im of a complex matrix, floats by repr, row-major."""
-    rows, cols = entries.shape
-    table = np.empty((entries.size, 4))
-    table[:, 0] = np.repeat(np.arange(rows), cols)
-    table[:, 1] = np.tile(np.arange(cols), rows)
-    table[:, 2:] = entries.view(float).reshape(-1, 2)
-    return "\n".join(["%d,%d,%r,%r"] * entries.size) % tuple(
-        table.ravel().tolist())
-
-
-def render_csv(report: dict, header, rows) -> str:
-    """Comment line, header and rows; ``rows`` is a sequence of tuples or
-    a complex matrix written one entry a row."""
-    lines = [f"# focklab {report['version']} "
-             f"config_sha256={report['config_sha256']}",
-             ",".join(header)]
-    if isinstance(rows, np.ndarray):
-        lines.append(_csv_matrix(rows))
-    else:
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float)
-                                  else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def render_csv(report: dict, header, rows, write) -> None:
+    """Write the comment line, header and rows through ``write``.  ``rows``
+    is a sequence of tuples or a complex matrix written one entry a row, a
+    block of rows at a time."""
+    write(f"# focklab {report['version']} "
+          f"config_sha256={report['config_sha256']}\n" + ",".join(header)
+          + "\n")
+    if not isinstance(rows, np.ndarray):
+        write("".join(",".join(repr(v) if isinstance(v, float) else str(v)
+                               for v in row) + "\n" for row in rows))
+        return
+    # row m's template is m + ",n,%s,%s\n" for each column n, joined by m
+    columns = [f",{n},%s,%s\n" for n in range(rows.shape[1])]
+    m = 0
+    for count, strings in _row_blocks(rows):
+        write("".join(str(i).join([""] + columns)
+                      for i in range(m, m + count)) % strings)
+        m += count
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +643,15 @@ def _nonfinite_path(value):
 
 
 def run_subcommand(name: str, config: RunConfig, seed=None) -> tuple[dict,
-                                                                     str]:
-    """Run one subcommand; returns (report dict, rendered text).
+                                                                     tuple]:
+    """Run one subcommand; returns (report dict, (csv header, csv rows)).
 
     NonFiniteError when a reported float is NaN or infinite, which JSON
     cannot hold.
     """
     # an overflow is refused below by the field it reaches, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        data, (header, rows), checks = SUBCOMMANDS[name](config, seed)
+        data, table, checks = SUBCOMMANDS[name](config, seed)
     for part, value in (("data", data), ("checks", checks)):
         path = _nonfinite_path(value)
         if path is not None:
@@ -643,11 +665,41 @@ def run_subcommand(name: str, config: RunConfig, seed=None) -> tuple[dict,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
+    return report, table
+
+
+def _write_report(config: RunConfig, report: dict, table: tuple, write):
     if config.output_format == "csv":
-        text = render_csv(report, header, rows)
+        render_csv(report, *table, write)
     else:
-        text = render_json(report)
-    return report, text
+        render_json(report, write)
+
+
+def _emit_report(config: RunConfig, report: dict, table: tuple):
+    """Write the report to stdout and, when output.path is set, to that
+    file first: a file that cannot be written leaves stdout empty.
+
+    A regular file's text is then copied to stdout; anything else (such as
+    /dev/null) cannot be read back, and stdout gets the report rendered.
+    """
+    saved = None
+    if config.output_path:
+        import os
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as f:
+                _write_report(config, report, table, f.write)
+            if os.path.isfile(config.output_path):
+                # newline="": the text is read back as it was written
+                saved = open(config.output_path, encoding="utf-8",
+                             newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}")
+    if saved is None:
+        _write_report(config, report, table, sys.stdout.write)
+        return
+    import shutil
+    with saved:
+        shutil.copyfileobj(saved, sys.stdout)
 
 
 def _read_config(path: str) -> str:
@@ -662,17 +714,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="focklab",
         description="Toeplitz and Hankel operator experiments on Fock spaces")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in SUBCOMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="path to a JSON config file")
-        cmd.add_argument("--out", help="write the report here")
-        cmd.add_argument("--format", choices=("json", "csv"),
-                         help="overrides output.format")
-        cmd.add_argument("--truncation", type=int,
-                         help="overrides config truncation")
-        cmd.add_argument("--seed", type=int,
-                         help="seed for randomized probes")
+    parser.add_argument("cmd", choices=SUBCOMMANDS, help="report to run")
+    parser.add_argument("--config", help="path to a JSON config file")
+    parser.add_argument("--out", help="write the report here")
+    parser.add_argument("--format", choices=("json", "csv"),
+                        help="overrides output.format")
+    parser.add_argument("--truncation", type=int,
+                        help="overrides config truncation")
+    parser.add_argument("--seed", type=int,
+                        help="seed for randomized probes")
     args = parser.parse_args(argv)
 
     try:
@@ -684,18 +734,12 @@ def main(argv=None) -> int:
             config.output_format = args.format
         if args.out is not None:
             config.output_path = args.out
-        report, text = run_subcommand(args.cmd, config, args.seed)
-        if config.output_path:
-            try:
-                with open(config.output_path, "w", encoding="utf-8") as f:
-                    f.write(text)
-            except OSError as exc:
-                raise ConfigError(f"cannot write report: {exc}")
+        report, table = run_subcommand(args.cmd, config, args.seed)
+        _emit_report(config, report, table)
     except FocklabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    print(text, end="")
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         print(f"tolerance failure: {', '.join(failing)}", file=sys.stderr)

@@ -25,6 +25,10 @@ from .numerics import (PolarGrid, complex_fsum, log_factorial, log_poisson,
                        polar_grid, regularized_gamma, tail_radius)
 
 _TAIL_TOL = 1e-12
+# a Gaussian's tail is the share of its trace past N, held to the trace
+# tolerance; beta 0.6 at distance 1.5, the widest and farthest Gaussian the
+# benchmark draws, reaches 3.7e-10 at N = 64
+_GAUSSIAN_TAIL_TOL = 1e-9
 _REFINE_TOL = 1e-8
 _FLOAT_MAX = float(np.finfo(float).max)
 # a ring block's scale factors stay within e^{+-_BLOCK_SPAN}; half the
@@ -334,8 +338,9 @@ def _gaussian_moments(mu: GaussianDensity, alpha: float):
 
 
 def _gaussian_toeplitz(mu: GaussianDensity, size: int,
-                       alpha: float) -> np.ndarray:
-    """Toeplitz matrix of a e^{-beta|w - c|^2}: T = a conj(B) B^T.
+                       alpha: float) -> tuple[np.ndarray, float]:
+    """Toeplitz matrix of a e^{-beta|w - c|^2}, T = a conj(B) B^T, and its
+    mass-weighted basis tail past N.
 
     Expanding conj(w)^m w^n about d leaves the lower triangular
     B[n, k] = sqrt(alpha e^{-alpha beta|c|^2/g} alpha^n n! / (k! g^{k+1}))
@@ -344,6 +349,13 @@ def _gaussian_toeplitz(mu: GaussianDensity, size: int,
     positive sum T[n, n] / a <= 1, so none overflows in log space.  The
     phases of conj(B[m, k]) B[n, k] multiply to (d/|d|)^{n-m} whatever k
     is, so T = a (M M^T) (d/|d|)^{n-m} with M = |B| real.
+
+    The tail is the mean of P(N, alpha|w|^2) over the normalized Gaussian,
+    the share of the whole trace a alpha/beta that rows N and up would
+    hold: 1 - (beta/alpha) ||M||_F^2.  It is the Poisson mixture
+    sum_j Pois(j; beta|c|^2) I_{alpha/g}(N, j + 1), and (alpha/g)^N for a
+    centred Gaussian.  Where alpha/g underflows, the Gaussian is a point
+    mass on the kernel's scale, with tail P(N, x).
     """
     share, unit, x, s = _gaussian_moments(mu, alpha)
     n = np.arange(size)
@@ -356,9 +368,14 @@ def _gaussian_toeplitz(mu: GaussianDensity, size: int,
     log_b2 = ((n[None, :] + 1) * log_share + log_fact[:, None]
               - log_fact[None, :] - log_fact[j] + log_poisson(n, x)[j] - s)
     moduli = np.where(lower, np.exp(0.5 * log_b2), 0.0)
+    if share > 0.0:
+        kept = np.sum(moduli * moduli) * (mu.beta / alpha)
+        tail = max(0.0, 1.0 - float(kept))
+    else:
+        tail = float(regularized_gamma(size, x)[0])
     phase = _unit_power(np.full(size, unit), n)
     phase = np.concatenate((np.conj(phase[:0:-1]), phase))
-    return mu.amplitude * ((moduli @ moduli.T) * phase[size - 1 - below])
+    return mu.amplitude * ((moduli @ moduli.T) * phase[size - 1 - below]), tail
 
 
 def _gaussian_hankel(mu: GaussianDensity, size: int,
@@ -405,13 +422,20 @@ def build_from_measure(mu: MeasureSymbol, size: int,
     Point masses and the Gaussian and disk densities are exact; any other
     density goes through build_from_density's quadrature.  A disk whose
     mass-weighted basis tail past N reaches 1e-12 is refused with
-    TruncationError, as point masses are.
+    TruncationError, as point masses are, and so is a Gaussian whose tail
+    reaches the trace tolerance 1e-9.
     """
     alpha = params.alpha
     if isinstance(mu, PointMasses):
         return build_from_point_masses(mu, size, params)
     if isinstance(mu, GaussianDensity):
-        entries = _gaussian_toeplitz(mu, size, alpha)
+        entries, tail = _gaussian_toeplitz(mu, size, alpha)
+        if tail >= _GAUSSIAN_TAIL_TOL:
+            raise TruncationError(
+                f"kernel basis tail {tail:.3e}, weighted by mass over the "
+                f"Gaussian of beta {mu.beta:g}, exceeds "
+                f"{_GAUSSIAN_TAIL_TOL:g} at truncation {size}; enlarge N, "
+                f"or narrow or centre the Gaussian")
         return TruncatedOperator(entries, size, params,
                                  provenance="closed-form(gaussian)")
     if isinstance(mu, UniformDisk):
@@ -594,15 +618,15 @@ def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
         raise FocklabError("trace pairing needs a density symbol")
     params = op.params
     size = op.truncation
-    left = build_from_measure(phi, size, params)
-    product = left.entries @ op.entries
-    matrix_side = complex_fsum(np.diagonal(product))
     grid = _quadrature_grid(size, params, _density_support(phi))
     tail = basis_tail_mass(size, params.alpha, grid.cutoff_radius)
     if tail >= _TAIL_TOL:
         raise TruncationError(
             f"kernel basis tail {float(tail):.3e} over the symbol support "
             f"exceeds {_TAIL_TOL:g} at truncation {size}")
+    left = build_from_measure(phi, size, params)
+    product = left.entries @ op.entries
+    matrix_side = complex_fsum(np.diagonal(product))
     if isinstance(phi, UniformDisk) or (isinstance(phi, GaussianDensity)
                                         and phi.center == 0):
         quad_side = _band_zero_integral(op, grid,

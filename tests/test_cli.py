@@ -1,7 +1,10 @@
 """Command-line behavior: config validation, determinism, exit codes."""
 
+import errno
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -270,6 +273,23 @@ class TestExitCodes:
         assert [c["name"] for c in flagged] == ["trace"]
         assert flagged[0]["tolerance"] == 1e-30
 
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["toeplitz", "--bogus"],
+                                      ["toeplitz", "--truncation", "x"]])
+    def test_usage_error_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: focklab")
+
+    def test_help_lists_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.SUBCOMMANDS)
+
     def test_config_error_is_two(self, tmp_path, capsys):
         config = write(tmp_path, "bad.json", '{"alpah": 1}')
         assert main(["trace-check", "--config", config]) == 2
@@ -511,6 +531,19 @@ class TestRefusedConfigs:
                         "y": 1.5e308}}))
         assert_exit_two(capsys, [subcommand, "--config", path], message)
 
+    @pytest.mark.parametrize("subcommand", ["trace-check", "schatten"])
+    @pytest.mark.parametrize("beta, tail", [(0.01, "5.290e-01"),
+                                            (1e-300, "1.000e+00")])
+    def test_gaussian_past_truncation(self, tmp_path, capsys, subcommand,
+                                      beta, tail):
+        # beta 0.01: trace-check reported trace 47.1 against 100 and exited
+        # 1, and schatten passed on the norms of the truncated matrix
+        path = write(tmp_path, "wide.json", json.dumps({
+            "truncation": 64, "measure": {"type": "gaussian", "beta": beta}}))
+        assert_exit_two(capsys, [subcommand, "--config", path],
+                        f"TruncationError: kernel basis tail {tail}, "
+                        f"weighted by mass over the Gaussian")
+
     def test_disk_past_truncation(self, tmp_path, capsys):
         # reported trace 64 against 400 and exited 1
         path = write(tmp_path, "wide.json", json.dumps({
@@ -691,7 +724,9 @@ class TestMatrixRendering:
         listed = dict(report, data=dict(report["data"], entries=[
             [[float(v.real), float(v.imag)] for v in row]
             for row in entries]))
-        assert render_json(report) == json.dumps(listed, indent=2) + "\n"
+        out = io.StringIO()
+        render_json(report, out.write)
+        assert out.getvalue() == json.dumps(listed, indent=2) + "\n"
 
     @pytest.mark.parametrize("size", [8, 64, 128])
     def test_csv_matches_row_join(self, size):
@@ -701,8 +736,9 @@ class TestMatrixRendering:
         lines += [",".join((str(m), str(n), repr(float(v.real)),
                             repr(float(v.imag))))
                   for (m, n), v in np.ndenumerate(entries)]
-        text = render_csv(report, ("m", "n", "re", "im"), entries)
-        assert text == "\n".join(lines) + "\n"
+        out = io.StringIO()
+        render_csv(report, ("m", "n", "re", "im"), entries, out.write)
+        assert out.getvalue() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("command", ["toeplitz", "hankel"])
     def test_nonfinite_entry_named(self, tmp_path, capsys, monkeypatch,
@@ -722,6 +758,141 @@ class TestMatrixRendering:
                                  "--truncation", "8"],
                         "NonFiniteError: data.entries[2][3][1]: "
                         "not a finite float")
+
+
+SPECIAL_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e308,
+    -1e308, 1.7976931348623157e308, 1.0 / 3.0, -1.0 / 3.0, 1e16, 1e-5])
+
+
+@st.composite
+def report_matrices(draw):
+    """Complex matrices of 1-12 x 1-12 whose floats are special values,
+    repeats or any finite float, general or an exact Hermitian, symmetric
+    or diagonal mirror."""
+    shape = draw(st.sampled_from(["general", "hermitian", "symmetric",
+                                  "diagonal"]))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12)) if shape == "general" else rows
+    pool = draw(st.lists(SPECIAL_FLOATS | st.floats(allow_nan=False,
+                                                    allow_infinity=False),
+                         min_size=1, max_size=6))
+    floats = draw(st.lists(st.sampled_from(pool) | SPECIAL_FLOATS,
+                           min_size=2 * rows * cols,
+                           max_size=2 * rows * cols))
+    entries = np.array(floats).view(complex).reshape(rows, cols)
+    below = np.tril(np.ones((rows, cols), dtype=bool), -1)
+    if shape == "hermitian":
+        entries = np.where(below, np.conj(entries.T), entries)
+    elif shape == "symmetric":
+        entries = np.where(below, entries.T, entries)
+    elif shape == "diagonal":
+        entries = np.where(np.eye(rows, dtype=bool), entries, 0.0)
+    return entries
+
+
+def listed_report(report):
+    """The report with its matrix as the nested [[[re, im]]] list."""
+    entries = report["data"]["entries"]
+    return dict(report, data=dict(report["data"], entries=[
+        [[float(v.real), float(v.imag)] for v in row] for row in entries]))
+
+
+def csv_rows(entries):
+    return "".join("%d,%d,%r,%r\n" % (m, n, float(v.real), float(v.imag))
+                   for (m, n), v in np.ndenumerate(entries))
+
+
+class TestStreamedRendering:
+    """Matrix reports formatted a distinct magnitude at a time and written
+    a block of rows at a time, whatever the block size."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=report_matrices(), block=st.integers(1, 300))
+    def test_json_matches_json_dumps(self, entries, block):
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = matrix_report(entries)
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_FLOATS", block)
+            render_json(report, out.write)
+        assert out.getvalue() == json.dumps(listed_report(report),
+                                            indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=report_matrices(), block=st.integers(1, 300))
+    def test_csv_matches_row_format(self, entries, block):
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = matrix_report(entries)
+        out = io.StringIO()
+        header = ("m", "n", "re", "im")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_FLOATS", block)
+            render_csv(report, header, entries, out.write)
+        assert out.getvalue() == ("# focklab 0 config_sha256=0\nm,n,re,im\n"
+                                  + csv_rows(entries))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["toeplitz", "hankel"])
+    def test_out_file_holds_stdout(self, tmp_path, capsys, monkeypatch,
+                                   command, fmt):
+        # a matrix of 12 rows in blocks of 5, 5 and 2
+        entries = awkward_matrix(12, 3)
+        entries = np.where(np.tril(np.ones((12, 12), dtype=bool)),
+                           entries, entries.T)
+
+        def build(mu, size, params):
+            return TruncatedOperator(entries, size, params)
+
+        monkeypatch.setattr(cli, "build_from_measure", build)
+        monkeypatch.setattr(cli, "build_hankel", build)
+        monkeypatch.setattr(cli, "_BLOCK_FLOATS", 5 * 24)
+        config = write(tmp_path, "g.json", GAUSS)
+        out = tmp_path / f"report.{fmt}"
+        assert main([command, "--config", config, "--truncation", "12",
+                     "--format", fmt, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == text
+        if fmt == "json":
+            report = parse_report(text)
+            assert report["data"]["entries"] == listed_report(
+                matrix_report(entries))["data"]["entries"]
+        else:
+            assert text.split("\n", 2)[2] == csv_rows(entries)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_file_write_leaves_stdout_empty(self, tmp_path, capsys,
+                                                   monkeypatch, fmt):
+        # the report file's disk fills after its first block
+        real_open = open
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.getvalue():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        def full_disk_open(path, mode="r", **kwargs):
+            if mode == "w":
+                return FullDisk()
+            return real_open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        monkeypatch.setattr(cli, "_BLOCK_FLOATS", 24)
+        config = write(tmp_path, "g.json", GAUSS)
+        assert_exit_two(capsys, ["toeplitz", "--config", config,
+                                 "--truncation", "32", "--format", fmt,
+                                 "--out", str(tmp_path / "r.txt")],
+                        "ConfigError: cannot write report: [Errno 28]")
+
+    def test_out_to_device_still_prints(self, tmp_path, capsys):
+        config = write(tmp_path, "g.json", GAUSS)
+        assert main(["toeplitz", "--config", config,
+                     "--truncation", "32"]) == 0
+        text = capsys.readouterr().out
+        assert main(["toeplitz", "--config", config, "--truncation", "32",
+                     "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == text
 
 
 class TestSubcommands:

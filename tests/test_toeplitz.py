@@ -33,6 +33,17 @@ def delta(w, weight=1.0):
     return PointMasses(((complex(w), complex(weight)),))
 
 
+def toeplitz_operator(mu, size, params=PARAMS):
+    """build_from_measure's operator, except that a Gaussian's comes from
+    its closed form directly: these tests take Gaussians at truncations
+    whose basis tail build_from_measure refuses."""
+    if not isinstance(mu, GaussianDensity):
+        return build_from_measure(mu, size, params)
+    entries, _ = toeplitz._gaussian_toeplitz(mu, size, params.alpha)
+    return TruncatedOperator(entries, size, params,
+                             provenance="closed-form(gaussian)")
+
+
 def corpus():
     return [
         delta(0j),
@@ -256,7 +267,7 @@ class TestTrace:
             previous = 0.0
             # the disk's basis tail past N reaches 1e-12 below N = 19
             for size in (24, 32, 48, 64):
-                value = trace(build_from_measure(mu, size, PARAMS)).real
+                value = trace(toeplitz_operator(mu, size)).real
                 assert value >= previous - 1e-12
                 assert value <= bound + 1e-12
                 previous = value
@@ -422,6 +433,63 @@ class TestDiskTruncation:
         assert op.provenance == "closed-form(disk)"
 
 
+def mp_gaussian_tail(size, alpha, mu):
+    """Mean of P(N, alpha|w|^2) over the normalized Gaussian, at 50 digits:
+    alpha|w|^2 is Gamma(j + 1, alpha/beta) with j ~ Pois(beta|c|^2), and
+    a Poisson count of Gamma(j + 1) mean is negative binomial, past N with
+    probability I_{alpha/(alpha + beta)}(N, j + 1)."""
+    with mpmath.workdps(50):
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(mu.beta)
+        y = beta * abs(mpmath.mpc(mu.center.real, mu.center.imag)) ** 2
+        q = alpha / (alpha + beta)
+        top = int(y + 20 * mpmath.sqrt(y) + 60)
+        return float(mpmath.fsum(
+            mpmath.exp(-y) * y ** j / mpmath.factorial(j)
+            * mpmath.betainc(size, j + 1, 0, q, regularized=True)
+            for j in range(top + 1)))
+
+
+class TestGaussianTruncation:
+    """A Gaussian whose basis tail past N reaches the trace tolerance is
+    refused."""
+
+    @pytest.mark.parametrize("size, alpha, mu", [
+        # centred: (alpha/(alpha + beta))^N
+        (8, 1.0, GaussianDensity(1.0, 0.5)),
+        (512, 1.0, GaussianDensity(1.0, 0.01)),
+        (8, 1.0, GaussianDensity(1.0, 2.0, center=0.5j)),
+        (16, 0.5, GaussianDensity(1.0, 5.0, center=3.0)),
+        (64, 1.0, GaussianDensity(1.0, 0.01)),
+        (64, 1.0, GaussianDensity(0.6, 0.6, center=1.2 - 0.9j)),
+        (64, 1.0, GaussianDensity(1.0, 1.0)),
+        (128, 2.0, GaussianDensity(1.0, 0.3, center=2.0 + 1.0j)),
+        (256, 1.0, GaussianDensity(1.0, 0.2, center=4.0)),
+        (512, 1.0, GaussianDensity(1.0, 0.1, center=5.0)),
+    ])
+    def test_tail_matches_mpmath(self, size, alpha, mu):
+        _, tail = toeplitz._gaussian_toeplitz(mu, size, alpha)
+        assert abs(tail - mp_gaussian_tail(size, alpha, mu)) <= 5e-15
+
+    @pytest.mark.parametrize("mu", [
+        GaussianDensity(1.0, 0.01), GaussianDensity(1.0, 1e-300),
+        GaussianDensity(1.0, 0.6, center=3.0),
+        GaussianDensity(1.0, 1.0, center=1.5e308 + 1.5e308j)])
+    def test_wide_or_far_refused(self, mu):
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(TruncationError,
+                               match="kernel basis tail .* Gaussian"):
+                build_from_measure(mu, 64, PARAMS)
+
+    def test_benchmark_gaussians_pass(self):
+        # beta 0.6 at distance 1.5 from the origin, the widest and
+        # farthest of the benchmark's range, has tail 3.7e-10 at N = 64
+        mu = GaussianDensity(1.0, 0.6, center=1.5)
+        _, tail = toeplitz._gaussian_toeplitz(mu, 64, 1.0)
+        assert 3.6e-10 < tail < toeplitz._GAUSSIAN_TAIL_TOL
+        op = build_from_measure(mu, 64, PARAMS)
+        assert op.provenance == "closed-form(gaussian)"
+
+
 def dense_transform(entries, nodes):
     e = basis_matrix(nodes, entries.shape[0], PARAMS.alpha)
     return np.sum(e * (entries @ np.conj(e)), axis=0)
@@ -459,7 +527,7 @@ class TestRingPath:
             dense = dense_pairing(grid.nodes, c, size, bilinear)
             ring = _ring_pairing(mu, grid, size, PARAMS.alpha, bilinear)
             assert np.max(np.abs(ring - dense)) < 1e-14
-        entries = build_from_measure(mu, size, PARAMS).entries
+        entries = toeplitz_operator(mu, size).entries
         ring = _ring_transform(entries, grid, PARAMS.alpha)
         dense = dense_transform(entries, grid.nodes)
         assert np.max(np.abs(ring - dense)) < 1e-14
@@ -507,7 +575,7 @@ class TestBlockedRingSpectrum:
                   "disk": UniformDisk(1.3, 1.0),
                   "gaussian": GaussianDensity(0.6, 1.0, center=1.2 - 0.9j),
                   }[symbol]
-            entries = build_from_measure(mu, size, PARAMS).entries
+            entries = toeplitz_operator(mu, size).entries
         op = TruncatedOperator(entries, size, PARAMS)
         radii = _covering_grid(op).radii
         if size == 512:
@@ -549,7 +617,7 @@ class TestBandZeroTrace:
     @pytest.mark.parametrize("size", [24, 64, 512])
     def test_matches_full_transform_route(self, size):
         rng = np.random.default_rng(size)
-        ops = [build_from_measure(mu, size, PARAMS) for mu in (
+        ops = [toeplitz_operator(mu, size) for mu in (
             UniformDisk(1.3, 1.0), GaussianDensity(0.6, 1.0, center=1.2 - 0.9j),
             edge_point_masses(size))]
         ops.append(TruncatedOperator(
@@ -761,8 +829,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("mu", CLOSED_FORM_GAUSSIANS,
                              ids=["centred", "complex", "far"])
     def test_gaussian_toeplitz_matches_mpmath(self, mu, size):
-        op = build_from_measure(mu, size, PARAMS)
-        assert op.provenance == "closed-form(gaussian)"
+        op = toeplitz_operator(mu, size)
         rows = (0, 1, size // 3, size - 1)
         ref = mp_gaussian_toeplitz(mu, PARAMS.alpha, size, rows)
         for m in rows:
@@ -832,10 +899,18 @@ class TestClosedForms:
         (1e300, GaussianDensity(1.0, 1e-300)),
     ])
     def test_extreme_parameters_stay_finite(self, alpha, mu):
+        # the basis tail too: build_from_measure refuses all but the
+        # narrowest Gaussian here without an overflow
         params = FockParams(alpha=alpha)
         with np.errstate(over="raise", invalid="raise"):
-            op = build_from_measure(mu, 16, params)
+            op = toeplitz_operator(mu, 16, params)
             h = build_hankel(mu, 16, params)
+            try:
+                exact = build_from_measure(mu, 16, params)
+            except TruncationError as exc:
+                assert str(exc).startswith("kernel basis tail")
+            else:
+                assert np.array_equal(exact.entries, op.entries)
         assert np.all(np.isfinite(op.entries))
         assert np.all(np.isfinite(h.entries))
 
