@@ -39,8 +39,8 @@ from .toeplitz import (adjoint_isometry_check, build_from_measure,
                        trace_via_berezin, transform_l1_norm)
 
 DEFAULT_R_VALUES = tuple(2.0 ** -n for n in range(7))
-# the largest truncation a config may ask for: an N x N report peaks at
-# about 70 N^2 bytes of memory, 1.1 GiB at N = 4096
+# the largest truncation a config may ask for: at N = 4096 on the unit disk
+# trace-check peaks at about 98 N^2 bytes of memory and schatten at 147 N^2
 TRUNCATION_BUDGET = 4096
 # floats a matrix report formats and writes at a time
 _BLOCK_FLOATS = 2 ** 12
@@ -108,7 +108,7 @@ def _truncation(value, path: str) -> int:
     if value > TRUNCATION_BUDGET:
         raise ResourceError(
             f"truncation {value} is over the budget of {TRUNCATION_BUDGET}: "
-            f"an N x N report takes about 70 N^2 bytes")
+            f"an N x N report peaks at up to about 150 N^2 bytes")
     return value
 
 
@@ -391,7 +391,7 @@ def run_berezin(config: RunConfig, seed):
     mu = config.require_measure()
     params = config.params()
     # the L^1 norm sizes its grid first, so a config whose grid is over the
-    # node budget is refused before any transform is taken
+    # budget is refused before any transform is taken
     l1 = berezin_lr_norm(mu, 1.0, params)
     reach = support_radius_of(mu) + 2.0 / math.sqrt(config.alpha)
     sample_z = np.linspace(0.0, reach, 9)

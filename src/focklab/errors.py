@@ -30,4 +30,4 @@ class ConfigError(FocklabError):
 
 
 class ResourceError(FocklabError):
-    """A run would exceed a work or memory budget fixed before it starts."""
+    """Refused before allocating: a run over a resource budget, or N > 4096."""

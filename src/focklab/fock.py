@@ -11,17 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridExtentError, ResourceError
+from .errors import GridExtentError
 from .numerics import PolarGrid, log_basis_coeff, node_count, polar_grid
 
 # In u = sqrt(alpha)(w - c) a unit kernel's weighted modulus is e^{-|u|^2/2};
 # past |u| = 8.5 the widest integrand (p = 1) keeps e^{-36}, 2e-16 of its mass
 _KERNEL_MARGIN = 8.5
-# the continuity probe evaluates blocks of nodes, so it holds 16 bytes a node
-# besides its grid's 24; at about 0.3 us an evaluation (nodes x offsets) its
-# budget is about 15 s, and 2 GB at a single offset
+# the continuity probe evaluates blocks of nodes, a node at each offset in
+# 0.3 us (alpha 1000, 4.5e5 nodes at 7 offsets: 0.30 us)
 _PROBE_BLOCK = 1 << 13
-_PROBE_WORK_BUDGET = 5e7
+_PROBE_SECONDS = 3e-7
 
 
 def conjugate_exponent(p: float) -> float:
@@ -74,7 +73,7 @@ def _boundary_decay_check(scaled_logs: np.ndarray, grid: PolarGrid,
     return peak
 
 
-def kernel_grid(alpha: float, separation: float) -> PolarGrid:
+def kernel_grid(alpha: float, separation: float, **node_costs) -> PolarGrid:
     """Grid of offsets from the midpoint of two kernels ``separation`` apart.
 
     In u the kernels are unit Gaussians a = sqrt(alpha) separation / 2 from
@@ -83,16 +82,11 @@ def kernel_grid(alpha: float, separation: float) -> PolarGrid:
     kink where the kernels cancel to about 1e-7 (p = 4/3); 2 a R angles sample
     each kernel's phase e^{+-i a Im u} at the Nyquist rate out to radius R.
     """
-    return polar_grid(*_kernel_grid_shape(alpha, separation))
-
-
-def _kernel_grid_shape(alpha: float, separation: float) -> tuple:
-    """Cutoff radius, radial and angular node counts of ``kernel_grid``."""
     scale = math.sqrt(alpha)
     half = 0.5 * scale * separation
     radius = half + _KERNEL_MARGIN
-    return (radius / scale, node_count(24.0 * radius),
-            max(256, node_count(2.0 * half * radius)))
+    return polar_grid(radius / scale, node_count(24.0 * radius),
+                      max(256, node_count(2.0 * half * radius)), **node_costs)
 
 
 def norm(weighted_logs: np.ndarray, p: float, params: FockParams,
@@ -170,20 +164,14 @@ def kernel_continuity_probe(z0: complex, deltas, p: float,
     There the kernels' ratio is k_{z0+delta}/k_{z0} = e^x with
     x = alpha delta (g + i Im z0), so the difference is the larger
     kernel times |expm1(-|Re x| +- i Im x)|, which neither cancels at small
-    delta nor overflows at large x.  Evaluations (nodes x offsets) over the
-    work budget raise ResourceError before the grid is built.
+    delta nor overflows at large x.  A grid and offsets over the budget
+    raise ResourceError before the grid is built.
     """
     z0 = complex(z0)
     deltas = [float(d) for d in deltas]
     alpha = params.alpha
-    shape = _kernel_grid_shape(alpha, max(deltas))
-    work = shape[1] * shape[2] * len(deltas)
-    if not work <= _PROBE_WORK_BUDGET:
-        raise ResourceError(
-            f"polar grid of {shape[1]} x {shape[2]} nodes at {len(deltas)} "
-            f"offsets needs {work:.3g} kernel evaluations, over the "
-            f"continuity probe's budget of {_PROBE_WORK_BUDGET:.3g}")
-    grid = polar_grid(*shape)
+    grid = kernel_grid(alpha, max(deltas),
+                       node_seconds=_PROBE_SECONDS * len(deltas))
     logs = np.empty(grid.nodes.size)
     out = []
     for d in deltas:

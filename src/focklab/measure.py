@@ -13,23 +13,20 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (FocklabError, GridExtentError, PositivityError,
-                     ResourceError)
+from .errors import FocklabError, GridExtentError, PositivityError
 from .fock import FockParams
-from .numerics import (PolarGrid, complex_fsum, log_poisson, min_angular_nodes,
-                       node_count, polar_grid, regularized_gamma)
+from .numerics import (PolarGrid, check_budget, complex_fsum, log_poisson,
+                       min_angular_nodes, node_count, polar_grid,
+                       regularized_gamma)
 
 _DROP = 1e-15
-# heat-kernel entries (evaluation points x measure nodes) one transform may
-# compute: about 18 s at 18 ns an entry on 2 vCPUs, 2.7 times the largest
-# transform the tests run (3.7e8)
-_WORK_BUDGET = 1e9
+_ENTRY_SECONDS = 1.8e-8  # a kernel entry (2e5 points x 2,000 masses: 17.4 ns)
+_DENSITY_NODE_BYTES = 73  # a density's quadrature node (1.6e6 nodes: 73.0)
 # bytes of one complex kernel chunk; a chunk also stays at most 512 rows,
 # so every chunk that fits keeps the row grouping BLAS rounds by
 _CHUNK_BYTES = 2 ** 26
-# Poisson terms one disk transform may sum: about 18 s at 40-60 ns a term
-# on 2 vCPUs; no CLI grid within the node budget needs 1e8
-_TERM_BUDGET = 3e8
+_TERM_SECONDS = 6e-8  # a Poisson term at a point (2,000 x 1.5e5 terms: 66 ns)
+_DIAGONAL_BYTES = 81  # a term of the diagonal a disk mixes (1e7 terms: 81.0)
 # Poisson terms one block of a disk's transform holds: 1 MiB of floats
 _TERM_BLOCK = 2 ** 17
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -196,15 +193,6 @@ def density_values(mu: MeasureSymbol, nodes) -> np.ndarray:
     return values
 
 
-def _heat_kernel_nodes(mu: Density, alpha: float, z_max: float):
-    """Node counts resolving e^{-alpha|z-w|^2} over the density's support."""
-    s = support_radius_of(mu)
-    radial = max(96, node_count(12.0 * s * math.sqrt(alpha)))
-    angular = max(192, min_angular_nodes(node_count(2.0 * alpha * s * z_max)
-                                         + 16))
-    return radial, angular
-
-
 def disk_diagonal(mu: UniformDisk, size: int, alpha: float) -> np.ndarray:
     """P(n + 1, X) for n < size, X = alpha R^2: the disk's Toeplitz diagonal
     over its amplitude.
@@ -231,17 +219,16 @@ def _disk_transform(mu: UniformDisk, z: np.ndarray, alpha: float):
     least, and from j = x + 10 sqrt(x) + 40 on they sum below
     e^{-50} (1 + sqrt(x)) times the term at the mode; the sum stops there
     for every point.
-    The term count is checked against _TERM_BUDGET before anything is
+    The term count is checked against the budget before anything is
     allocated, and the terms are summed in blocks of _TERM_BLOCK.
     """
     with np.errstate(over="ignore"):
         x = np.minimum(alpha * np.abs(z) ** 2, _FLOAT_MAX)
     x_max = float(x.max(initial=0.0))
     terms = x_max + 10.0 * math.sqrt(x_max) + 40.0
-    if not z.size * terms <= _TERM_BUDGET:
-        raise ResourceError(
-            f"disk transform at {z.size} points needs {terms:.3g} Poisson "
-            f"terms a point, over the budget of {_TERM_BUDGET:.3g} in all")
+    check_budget(f"disk transform at {z.size} points of {terms:.3g} Poisson "
+                 f"terms", [(terms, _DIAGONAL_BYTES)],
+                 [(z.size * terms, _TERM_SECONDS)])
     terms = math.ceil(terms)
     weights = disk_diagonal(mu, terms, alpha)
     j = np.arange(terms)
@@ -273,18 +260,21 @@ def berezin_measure(mu: MeasureSymbol, z, params: FockParams):
         out = _disk_transform(mu, z_arr.ravel(), alpha).reshape(z_arr.shape)
     else:
         if isinstance(mu, PointMasses):
+            nodes, node_bytes = len(mu.points), 0
+        else:  # nodes resolving e^{-alpha|z-w|^2} over the density's support
+            s = support_radius_of(mu)
+            freq = node_count(2.0 * alpha * s * float(np.abs(z_arr).max()))
+            shape = (max(96, node_count(12.0 * s * math.sqrt(alpha))),
+                     max(192, min_angular_nodes(freq + 16)))
+            nodes, node_bytes = shape[0] * shape[1], _DENSITY_NODE_BYTES
+        check_budget(f"Berezin transform at {z_arr.size} points against "
+                     f"{nodes} measure nodes", [(nodes, node_bytes)],
+                     [(z_arr.size * nodes, _ENTRY_SECONDS)])
+        if isinstance(mu, PointMasses):
             w, c = mu.locations, mu.weights
         else:
-            radial, angular = _heat_kernel_nodes(mu, alpha,
-                                                 float(np.abs(z_arr).max()))
-            w, wt, values = density_samples(mu, radial, angular)
+            w, wt, values = density_samples(mu, *shape)
             c = wt * values
-        work = z_arr.size * w.size
-        if not work <= _WORK_BUDGET:
-            raise ResourceError(
-                f"Berezin transform at {z_arr.size} points against {w.size} "
-                f"measure nodes needs {work:.3g} kernel entries, over the "
-                f"budget of {_WORK_BUDGET:.3g}")
         rows = min(512, max(1, _CHUNK_BYTES // (16 * max(1, w.size))))
         chunks = []
         for start in range(0, z_arr.size, rows):
@@ -296,6 +286,8 @@ def berezin_measure(mu: MeasureSymbol, z, params: FockParams):
 
 
 _PAD_NATS = 28.1  # e^{-28.1} < 1e-12, so the boundary check clears its budget
+# a node berezin_lr_norm takes the transform at (2.6e5, 5 masses: 64.4 bytes)
+_LR_NODE_BYTES = 64
 
 
 def berezin_grid(mu: MeasureSymbol, params: FockParams) -> PolarGrid:
@@ -303,14 +295,17 @@ def berezin_grid(mu: MeasureSymbol, params: FockParams) -> PolarGrid:
 
     The cutoff pads the support by sqrt(28.1 / alpha), a shade over the
     5 / sqrt(alpha) heat-kernel width, so boundary values sit below 1e-12
-    of the peak even for mass at the support edge.
+    of the peak even for mass at the support edge.  A disk's transform is
+    radial, so its grid has the fewest angles.
     """
     alpha = params.alpha
     s = support_radius_of(mu)
     radius = s + math.sqrt(_PAD_NATS / alpha)
     radial_nodes = max(128, node_count(12.0 * radius * math.sqrt(alpha)))
     freq = node_count(2.0 * alpha * s * radius, math.floor) + 16
-    return polar_grid(radius, radial_nodes, max(128, min_angular_nodes(freq)))
+    angular = (4 if isinstance(mu, UniformDisk)
+               else max(128, min_angular_nodes(freq)))
+    return polar_grid(radius, radial_nodes, angular, _LR_NODE_BYTES)
 
 
 def berezin_lr_norm(mu: MeasureSymbol, r: float, params: FockParams) -> float:

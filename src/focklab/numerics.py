@@ -17,11 +17,15 @@ import numpy as np
 from .errors import QuadratureError, ResourceError
 
 TWO_PI = 2.0 * math.pi
-# gauss_legendre(n) takes O(n^2) time in O(n) memory, 0.6 s at the radial
-# budget on 2 vCPUs; a grid takes about 24 bytes a node, so the node budget
-# is where that reaches 8 GB of RAM
-_RADIAL_BUDGET = 23_000
-_NODE_BUDGET = 3.5e8
+# What one site may hold: of the 3e9 bytes of address space CI gives a
+# report, numpy and two BLAS threads map 0.19e9, and 0.8e9 is kept for what
+# the caller holds besides (schatten at N = 4096: 2.5e9, 1.6e9 counted)
+_MEMORY_BUDGET = 2e9
+# and how long it may work: the largest transform the tests take (6.2 s)
+# fits, the unit disk at lattice side 1e-3 and N = 64 (9.9 s) does not
+_TIME_BUDGET = 8.0
+_RULE_SECONDS = 1.1e-9  # a Gauss-Legendre radius squared (23,000: 0.58 s)
+_NODE_BYTES = 24  # a node and its weight (1e7 nodes: 24.0 bytes)
 _FLOAT_MAX = float(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
 # s_n = ln(n^n e^{-n} / n!) below n = 16, where Stirling's series is too short
@@ -216,6 +220,19 @@ def tail_radius(alpha: float, power: float, tol: float = 1e-14) -> float:
     return math.sqrt(inverse_gamma_q(int(power) // 2 + 1, tol) / alpha)
 
 
+def check_budget(what: str, nbytes=(), seconds=()):
+    """ResourceError, its message starting with ``what``, unless the bytes
+    and seconds a site will take, sums of (count, unit cost) pairs, fit the
+    budgets; a count past the float range (inf, nan, a huge int) is refused."""
+    for pairs, budget, unit in ((nbytes, _MEMORY_BUDGET, "bytes"),
+                                (seconds, _TIME_BUDGET, "s")):
+        need = sum(count * cost if count <= _FLOAT_MAX else math.inf
+                   for count, cost in pairs)
+        if not need <= budget:
+            raise ResourceError(f"{what} needs {need:.3g} {unit}, over the "
+                                f"budget of {budget:.3g} {unit}")
+
+
 def node_count(x: float, rounding=math.ceil):
     """rounding(x) as an int while that is exact; past 2^53 (where a float is
     whole), or when x is not finite, x itself for polar_grid to refuse."""
@@ -330,19 +347,19 @@ class PolarGrid:
                 ).ravel()
 
 
-def polar_grid(cutoff_radius: float, radial_nodes: int,
-               angular_nodes: int) -> PolarGrid:
+def polar_grid(cutoff_radius: float, radial_nodes: int, angular_nodes: int,
+               node_bytes: float = _NODE_BYTES,
+               node_seconds: float = 0.0) -> PolarGrid:
     """Build a PolarGrid over the disk |z| <= cutoff_radius.
 
-    Node counts over the budget raise ResourceError before any allocation.
+    Node counts over the budget raise ResourceError before any allocation;
+    a caller whose work holds or takes more a node passes its own costs.
     """
-    # one count at a time, so a huge int is never converted to a float
-    if not (radial_nodes <= _RADIAL_BUDGET and angular_nodes <= _NODE_BUDGET
-            and radial_nodes * angular_nodes <= _NODE_BUDGET):
-        raise ResourceError(
-            f"polar grid of {radial_nodes} x {angular_nodes} nodes exceeds "
-            f"the budget of {_RADIAL_BUDGET} radial and {_NODE_BUDGET:.3g} "
-            f"total nodes")
+    nodes = radial_nodes * angular_nodes
+    check_budget(f"polar grid of {radial_nodes} x {angular_nodes} nodes",
+                 [(nodes, node_bytes)],
+                 [(radial_nodes * radial_nodes, _RULE_SECONDS),
+                  (nodes, node_seconds)])
     if not cutoff_radius > 0.0:
         raise ValueError(f"cutoff radius must be positive, got {cutoff_radius!r}")
     if radial_nodes < 1 or angular_nodes < 4:

@@ -115,11 +115,21 @@ def basis_matrix(nodes, size: int, alpha: float) -> np.ndarray:
     return e
 
 
-def _quadrature_grid(size: int, params: FockParams,
-                     support: float) -> PolarGrid:
-    """Polar grid resolving products of the first `size` basis functions."""
+def _quadrature_grid(size: int, params: FockParams, support: float,
+                     radial: bool = False) -> PolarGrid:
+    """Polar grid resolving products of the first `size` basis functions;
+    a radial one has the fewest angles, for sums that read only its radii."""
     cutoff = min(support, tail_radius(params.alpha, 2 * size, 1e-15))
-    return polar_grid(cutoff, max(96, 2 * size), max(192, 4 * size))
+    return polar_grid(cutoff, max(96, 2 * size),
+                      4 if radial else max(192, 4 * size))
+
+
+def _refuse_tail(tail: float, size: int, over: str, remedy: str,
+                 tol: float = _TAIL_TOL):
+    """TruncationError when the kernel basis tail past N reaches tol."""
+    if tail >= tol:
+        raise TruncationError(f"kernel basis tail {tail:.3e}{over} exceeds "
+                              f"{tol:g} at truncation {size}; {remedy}")
 
 
 def _density_support(mu) -> float:
@@ -145,12 +155,9 @@ def _pairing_matrix(nodes, c: np.ndarray, size: int, alpha: float,
     mass = np.abs(c)
     total = math.fsum(mass)
     if total > 0.0:
-        tail = float(mass @ basis_tail_mass(size, alpha, nodes)) / total
-        if tail >= _TAIL_TOL:
-            raise TruncationError(
-                f"kernel basis tail {tail:.3e}, weighted by mass over "
-                f"{nodes.size} points, exceeds {_TAIL_TOL:g} at truncation "
-                f"{size}; enlarge N or move the mass nearer the origin")
+        _refuse_tail(float(mass @ basis_tail_mass(size, alpha, nodes)) / total,
+                     size, f", weighted by mass over {nodes.size} points,",
+                     "enlarge N or move the mass nearer the origin")
     step = max(1, _PAIRING_CHUNK_BYTES // (16 * size))
     entries = np.zeros((size, size), dtype=complex)
     for start in range(0, nodes.size, step):
@@ -430,21 +437,15 @@ def build_from_measure(mu: MeasureSymbol, size: int,
         return build_from_point_masses(mu, size, params)
     if isinstance(mu, GaussianDensity):
         entries, tail = _gaussian_toeplitz(mu, size, alpha)
-        if tail >= _GAUSSIAN_TAIL_TOL:
-            raise TruncationError(
-                f"kernel basis tail {tail:.3e}, weighted by mass over the "
-                f"Gaussian of beta {mu.beta:g}, exceeds "
-                f"{_GAUSSIAN_TAIL_TOL:g} at truncation {size}; enlarge N, "
-                f"or narrow or centre the Gaussian")
+        _refuse_tail(tail, size, f", weighted by mass over the Gaussian of "
+                     f"beta {mu.beta:g},", "enlarge N, or narrow or centre "
+                     "the Gaussian", _GAUSSIAN_TAIL_TOL)
         return TruncatedOperator(entries, size, params,
                                  provenance="closed-form(gaussian)")
     if isinstance(mu, UniformDisk):
         tail = _disk_basis_tail(size, min(alpha * mu.radius ** 2, _FLOAT_MAX))
-        if tail >= _TAIL_TOL:
-            raise TruncationError(
-                f"kernel basis tail {tail:.3e}, weighted by mass over the "
-                f"disk of radius {mu.radius:g}, exceeds {_TAIL_TOL:g} at "
-                f"truncation {size}; enlarge N or shrink the disk")
+        _refuse_tail(tail, size, f", weighted by mass over the disk of radius "
+                     f"{mu.radius:g},", "enlarge N or shrink the disk")
         entries = np.diag(mu.amplitude * disk_diagonal(mu, size, alpha))
         return TruncatedOperator(entries, size, params,
                                  provenance="closed-form(disk)")
@@ -488,12 +489,9 @@ def berezin_operator(op: TruncatedOperator, z):
     """
     scalar = np.isscalar(z) or np.ndim(z) == 0
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    tail = basis_tail_mass(op.truncation, op.params.alpha, zs)
-    if np.any(tail >= _TAIL_TOL):
-        worst = float(np.max(tail))
-        raise TruncationError(
-            f"kernel basis tail {worst:.3e} at truncation {op.truncation} "
-            f"exceeds {_TAIL_TOL:g}; enlarge N or shrink |z|")
+    tail = basis_tail_mass(op.truncation, op.params.alpha, zs).max(initial=0.0)
+    _refuse_tail(float(tail), op.truncation, f" at the farthest of {zs.size} "
+                 "points", "enlarge N or shrink |z|")
     e = basis_matrix(zs, op.truncation, op.params.alpha)
     out = np.sum(e * (op.entries @ np.conj(e)), axis=0)
     return complex(out[0]) if scalar else out
@@ -537,11 +535,11 @@ def trace_via_berezin(op: TruncatedOperator) -> complex:
 
 def _band_zero_integral(op: TruncatedOperator, grid: PolarGrid,
                         ring_density) -> complex:
-    """(alpha/pi) times the grid sum of the transform against a radial
-    density, from band k = 0 alone.
+    """(alpha/pi) times the integral of the transform against a radial
+    density over the grid's radii, from band k = 0 alone.
 
-    With A > N - 1 equispaced angles, every e^{ik theta} with
-    0 < |k| <= N - 1 sums to zero over a ring, so the sum is
+    Every e^{ik theta} with 0 < |k| <= N - 1 integrates to zero over a
+    ring, as its sum over A > N - 1 equispaced angles does, so that is
     2 alpha sum_t w_t t phi(t) sum_m M[m, m] rho_m(t)^2 over the
     Gauss-Legendre radii; ring_density holds phi(t) there.
     """
@@ -611,24 +609,22 @@ def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
 
     phi must be a density variant; the operator's Berezin transform must be
     truncation-valid over its support.  A disk or a centred Gaussian is
-    constant on every ring, so its quadrature side takes band 0 alone
-    (_band_zero_integral); any other density is sampled at every node.
+    constant on every ring, so its quadrature side takes band 0 alone on
+    radii (_band_zero_integral); any other density is sampled at every node.
     """
     if isinstance(phi, PointMasses):
         raise FocklabError("trace pairing needs a density symbol")
     params = op.params
     size = op.truncation
-    grid = _quadrature_grid(size, params, _density_support(phi))
-    tail = basis_tail_mass(size, params.alpha, grid.cutoff_radius)
-    if tail >= _TAIL_TOL:
-        raise TruncationError(
-            f"kernel basis tail {float(tail):.3e} over the symbol support "
-            f"exceeds {_TAIL_TOL:g} at truncation {size}")
+    radial = isinstance(phi, UniformDisk) or (
+        isinstance(phi, GaussianDensity) and phi.center == 0)
+    grid = _quadrature_grid(size, params, _density_support(phi), radial)
+    tail = float(basis_tail_mass(size, params.alpha, grid.cutoff_radius))
+    _refuse_tail(tail, size, " over the symbol support", "enlarge N")
     left = build_from_measure(phi, size, params)
     product = left.entries @ op.entries
     matrix_side = complex_fsum(np.diagonal(product))
-    if isinstance(phi, UniformDisk) or (isinstance(phi, GaussianDensity)
-                                        and phi.center == 0):
+    if radial:
         quad_side = _band_zero_integral(op, grid,
                                         density_values(phi, grid.radii))
         return matrix_side, quad_side

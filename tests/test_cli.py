@@ -5,8 +5,11 @@ import io
 import json
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -414,11 +417,11 @@ class TestPointMassTruncation:
 
 
 class TestNodeBudget:
-    """Quadrature grids over the node budget stop before any node is
+    """Quadrature grids over the budget stop before any node is
     computed."""
 
     @pytest.mark.parametrize("subcommand, alpha", [
-        # 7.8e7 nodes pass the node budget; 7 offsets exceed the probe's
+        # 7.8e7 nodes fit the memory budget; at 7 offsets they take 163 s
         ("kernel-continuity", 5e4),
         ("kernel-continuity", 1e6),
         ("berezin", 1e300),
@@ -465,6 +468,85 @@ class TestTransformBudget:
         assert all(check["passed"] for check in report["checks"])
         if subcommand == "berezin":
             assert [c["name"] for c in report["checks"]] == ["mass_identity"]
+
+
+def _cloud(points):
+    return {"alpha": 1e4, "measure": {"type": "point_masses", "points": [
+        {"x": x, "y": y, "w_re": w} for x, y, w in points]}}
+
+
+# point clouds at alpha 1e4 whose Berezin grids the address-space cap met:
+# 2,344 x 148,462 nodes ended in an _ArrayMemoryError traceback and
+# 1,600 x 68,284 in SIGSEGV; 1,324 x 7,658 nodes answer in 3.4 s at 654 MiB
+POSITIVE_CLOUD = _cloud([(1.9, 0, 1), (0.5, 0.5, 1), (-0.7, 0.3, 1),
+                         (0.2, -1.1, 1), (-1.2, -0.8, 1)])
+SIGNED_CLOUD = _cloud([(1.28, 0, 1), (0.3, 0.9, -0.5), (-0.6, 0.2, 0.8),
+                       (0.1, -0.7, -1.2), (-0.9, -0.5, 0.6)])
+ONE_MASS = _cloud([(0.5, 0.25, 1)])
+
+CAP_BYTES = 3_000_000_000  # CI's ulimit -v 3000000
+WALL_SECONDS = 60
+# extreme values, and ordinary ones that reach the code past the refusals
+EXTREMES = st.sampled_from([5e-324, 1e-300, 1e-8, 20.0, 1e4, 1e8, 1e300,
+                            1.7e308]) | st.floats(0.05, 4.0)
+COORDS = st.sampled_from([-1e8, 20.0, 1.5e308]) | st.floats(-2.0, 2.0)
+FUZZ_POINTS = st.lists(st.fixed_dictionaries({
+    "x": COORDS, "y": COORDS,
+    "w_re": st.sampled_from([1.0, -0.5, 1e-300, 1e300])}), max_size=4)
+FUZZ_MEASURES = st.one_of(
+    st.fixed_dictionaries({"type": st.just("point_masses"),
+                           "points": FUZZ_POINTS | FUZZ_POINTS.map(
+                               lambda points: points * 100)}),
+    st.fixed_dictionaries({"type": st.just("uniform_disk"),
+                           "radius": EXTREMES}),
+    st.fixed_dictionaries({"type": st.just("gaussian"), "beta": EXTREMES,
+                           "x": COORDS, "y": COORDS}))
+FUZZ_CONFIGS = st.fixed_dictionaries({
+    "alpha": EXTREMES, "truncation": st.sampled_from([8, 32, 128]),
+    "measure": FUZZ_MEASURES,
+    "r_values": st.lists(EXTREMES, min_size=1, max_size=3, unique=True).map(
+        lambda values: sorted(values, reverse=True)),
+    "exponents": st.fixed_dictionaries({
+        "p": st.sampled_from([1.0, 4.0 / 3.0, 2.0]),
+        "q": st.sampled_from([2.0, 4.0, 1e300])})})
+
+
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
+
+
+class TestFuzzUnderCap:
+    """Any schema-valid config ends in a report, a tolerance failure or a
+    typed refusal within CI's 3 GB address-space cap: never a traceback
+    or a signal.  Each config runs in its own child process, one at a
+    time."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(subcommand=st.sampled_from(sorted(cli.SUBCOMMANDS)),
+           config=FUZZ_CONFIGS)
+    @example(subcommand="berezin", config=POSITIVE_CLOUD)
+    @example(subcommand="rigidity", config=POSITIVE_CLOUD)
+    @example(subcommand="berezin", config=SIGNED_CLOUD)
+    @example(subcommand="berezin", config=ONE_MASS)
+    def test_ends_in_exit_code(self, subcommand, config):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(config, f)
+            done = subprocess.run(
+                [sys.executable, "-m", "focklab.cli", subcommand,
+                 "--config", path], capture_output=True, text=True, env=env,
+                timeout=WALL_SECONDS, preexec_fn=_capped_address_space)
+        assert done.returncode in (0, 1, 2), (done.returncode, done.stderr)
+        assert "Traceback" not in done.stderr, done.stderr
+        if done.returncode == 1:
+            assert done.stderr.startswith("tolerance failure: ")
+        if done.returncode == 2:
+            assert done.stdout == ""
+            assert re.match(r"[A-Za-z]+Error: ", done.stderr), done.stderr
 
 
 class TestRefusedConfigs:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from focklab import fock
+from focklab import fock, numerics
 from focklab.errors import GridExtentError, ResourceError
 from focklab.fock import (FockParams, basis_norm_exact, conjugate_exponent,
                           kernel_continuity_probe, kernel_distance_hilbert,
@@ -241,16 +241,17 @@ class TestContinuityProbe:
                                        params) == out
 
     def test_work_budget(self, monkeypatch):
-        # nodes x offsets over the budget stop before the grid is built
+        # nodes x offsets over the time budget stop before the grid is built
         params = FockParams(alpha=1.0)
         nodes = kernel_grid(params.alpha, 1.0).nodes.size
-        monkeypatch.setattr(fock, "_PROBE_WORK_BUDGET", 2 * nodes)
+        monkeypatch.setattr(numerics, "_TIME_BUDGET",
+                            2.5 * nodes * fock._PROBE_SECONDS)
         assert len(kernel_continuity_probe(0.0, [1.0, 0.5], 2.0, params)) == 2
 
         def refuse(*args):
             raise AssertionError("grid built")
-        monkeypatch.setattr(fock, "polar_grid", refuse)
-        with pytest.raises(ResourceError, match="continuity probe's"):
+        monkeypatch.setattr(numerics, "gauss_legendre", refuse)
+        with pytest.raises(ResourceError, match="^polar grid of .* s, over"):
             kernel_continuity_probe(0.0, [1.0, 0.5, 0.25], 2.0, params)
 
     def test_p43_against_kink_centred_quadrature(self):

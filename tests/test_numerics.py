@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from focklab import numerics
 from focklab.errors import QuadratureError, ResourceError
-from focklab.numerics import (erf, gauss_legendre, integrate_plane,
-                              inverse_gamma_q, log_basis_coeff, log_factorial,
-                              log_poisson, lr_norm, min_angular_nodes,
-                              node_count, polar_grid, regularized_gamma,
-                              tail_radius)
+from focklab.numerics import (check_budget, erf, gauss_legendre,
+                              integrate_plane, inverse_gamma_q,
+                              log_basis_coeff, log_factorial, log_poisson,
+                              lr_norm, min_angular_nodes, node_count,
+                              polar_grid, regularized_gamma, tail_radius)
 from focklab.toeplitz import basis_tail_mass
 
 mpmath.mp.dps = 50
@@ -102,11 +103,28 @@ class TestPolarGrid:
             polar_grid(1.0, 10, 2)
 
     @pytest.mark.parametrize("radial, angular", [
-        (23_001, 8), (100, 3_500_001), (8, 3.6e8), (math.inf, 8),
+        # 200,000 radii take 44 s of Gauss-Legendre rule in 38 MB of nodes
+        (200_000, 8), (100, 3_500_001), (8, 3.6e8), (math.inf, 8),
         (8, math.nan), (10 ** 400, 2 * 10 ** 400 + 2)])
     def test_node_budget(self, radial, angular):
         with pytest.raises(ResourceError):
             polar_grid(1.0, radial, angular)
+
+    @pytest.mark.parametrize("count", [math.inf, math.nan, 10 ** 400])
+    def test_budget_refuses_before_allocating(self, monkeypatch, count):
+        # counts past the float range are refused, not converted; a grid
+        # of them is refused before its rule is built
+        for budget in ("nbytes", "seconds"):
+            with pytest.raises(ResourceError, match=r"^site needs inf "):
+                check_budget("site", **{budget: [(1, 1.0), (count, 8.0)]})
+
+        def refuse(*args):
+            raise AssertionError("rule built")
+        monkeypatch.setattr(numerics, "gauss_legendre", refuse)
+        with pytest.raises(ResourceError, match=r"^polar grid of .* needs"):
+            polar_grid(1.0, count, 8)
+        with pytest.raises(ResourceError, match=r"^polar grid of .* needs"):
+            polar_grid(1.0, 8, count)
 
     def test_node_count_stays_float_past_exact_ints(self):
         assert node_count(2.5) == 3 and isinstance(node_count(2.5), int)
