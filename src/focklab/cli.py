@@ -488,21 +488,16 @@ def run_schatten(config: RunConfig, seed):
 
 def run_lattice_approx(config: RunConfig, seed):
     mu = config.require_measure()
-    params = config.params()
-    study = convergence_study(mu, config.r_values, config.truncation, params)
+    rows = convergence_study(mu, config.r_values, config.truncation,
+                             config.params())
     ceiling = (config.alpha / math.pi) * total_variation(mu)
-    data = {"rows": [{"r": float(row.r),
-                      "s1_error": float(row.s1_error),
-                      "op_error": float(row.op_error),
-                      "nuclear_bound": float(row.nuclear_bound)}
-                     for row in study],
-            "nuclear_ceiling": float(ceiling)}
-    worst_excess = max(row.nuclear_bound - ceiling for row in study)
-    worst_rise = max((b.s1_error - a.s1_error
-                      for a, b in zip(study, study[1:])), default=0.0)
+    data = {"rows": rows, "nuclear_ceiling": float(ceiling)}
+    worst_excess = max(row["nuclear_bound"] - ceiling for row in rows)
+    worst_rise = max((b["s1_error"] - a["s1_error"]
+                      for a, b in zip(rows, rows[1:])), default=0.0)
     checks = [_bounded(config, "nuclear_ceiling", worst_excess),
               _bounded(config, "error_decrease", worst_rise)]
-    return data, _records_table(data["rows"]), checks
+    return data, _records_table(rows), checks
 
 
 def run_rigidity(config: RunConfig, seed):
@@ -511,17 +506,13 @@ def run_rigidity(config: RunConfig, seed):
     slack = config.tolerance("rigidity_slack")
     # the experiment's convention wants q <= p; the bracket itself is
     # exponent independent, so ordering the pair loses nothing
-    report = rigidity_experiment(mu, max(p, q), min(p, q), config.params(),
-                                 slack=slack)
-    row = {"p": report.p, "q": report.q, "lower": float(report.lower),
-           "upper": float(report.upper),
-           "kernel_norm_residual": float(report.kernel_norm_residual)}
-    data = {"lower": row["lower"], "upper": row["upper"],
-            "slack": float(report.slack),
-            "within_slack": bool(report.within_slack), "rows": [row]}
-    width = (report.upper - report.lower) / report.lower \
-        if report.lower > 0.0 else 0.0
-    checks = [_check("rigidity_slack", width, slack, report.within_slack)]
+    row = rigidity_experiment(mu, max(p, q), min(p, q), config.params())
+    lower, upper = row["lower"], row["upper"]
+    within = upper <= lower * (1.0 + slack) + 1e-12
+    data = {"lower": lower, "upper": upper, "slack": float(slack),
+            "within_slack": within, "rows": [row]}
+    width = (upper - lower) / lower if lower > 0.0 else 0.0
+    checks = [_check("rigidity_slack", width, slack, within)]
     return data, _records_table(data["rows"]), checks
 
 
@@ -549,31 +540,21 @@ def run_counterexample(config: RunConfig, seed):
     except ValueError as exc:
         raise ConfigError(f"exponents: {exc}")
     data = full_report(params)
-    checks = []
-    if params.terms:
-        checks.append(_bounded(config, "pairing_identity",
-                               max(data["pairing_identity_residuals"])))
-    if params.terms > 1:
-        ratios = (data["membership_f_terms"], data["membership_g_terms"])
-        worst = max(b / a for terms in ratios
-                    for a, b in zip(terms, terms[1:]))
-        checks.append(_check("membership_convergent", worst, 1.0,
-                             worst < 1.0))
-        floor = params.b ** 2 / 3.0
-        slowest = min(data["divergence_ratios"])
-        checks.append(_check("divergence_floor", slowest, floor,
-                             slowest >= floor))
-    rows = []
-    for i in range(params.terms):
-        rows.append((i + 1, data["indices"][i],
-                     data["membership_f_terms"][i],
-                     data["membership_g_terms"][i],
-                     data["divergence_partial_sums"][i],
-                     data["pairing_identity_residuals"][i],
-                     data["growth_ratios"][i]))
+    ratios = (data["membership_f_terms"], data["membership_g_terms"])
+    worst = max(b / a for terms in ratios for a, b in zip(terms, terms[1:]))
+    floor = params.b ** 2 / 3.0
+    slowest = min(data["divergence_ratios"])
+    checks = [_bounded(config, "pairing_identity",
+                       max(data["pairing_identity_residuals"])),
+              _check("membership_convergent", worst, 1.0, worst < 1.0),
+              _check("divergence_floor", slowest, floor, slowest >= floor)]
     header = ("k", "index", "membership_f", "membership_g",
               "divergence_partial", "pairing_residual", "growth_ratio")
-    return data, (header, rows), checks
+    rows = zip(range(1, params.terms + 1), data["indices"],
+               data["membership_f_terms"], data["membership_g_terms"],
+               data["divergence_partial_sums"],
+               data["pairing_identity_residuals"], data["growth_ratios"])
+    return data, (header, list(rows)), checks
 
 
 def run_kernel_continuity(config: RunConfig, seed):

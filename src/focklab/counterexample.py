@@ -91,131 +91,24 @@ def build_indices(params: CounterexampleParams) -> list[int]:
     return indices
 
 
-@dataclass(frozen=True)
-class _IndexLogs:
-    """Shared per-index intermediates; reusing them keeps cancellation exact."""
+def index_logs(params: CounterexampleParams,
+               indices: list[int]) -> tuple[np.ndarray, ...]:
+    """(ln n, ln n!, n ln alpha) over the indices n.
 
-    k: np.ndarray            # 1-based term number
-    log_n: np.ndarray        # ln n_k
-    log_fact: np.ndarray     # ln n_k!
-    log_pow: np.ndarray      # n_k ln alpha
-
-
-def _index_logs(params: CounterexampleParams) -> _IndexLogs:
-    n = np.array(build_indices(params), dtype=float)
-    return _IndexLogs(
-        k=np.arange(1, params.terms + 1, dtype=float),
-        log_n=np.log(n),
-        log_fact=log_factorial(n),
-        log_pow=n * math.log(params.alpha),
-    )
-
-
-def _slow_part(params: CounterexampleParams, logs: _IndexLogs,
-               deviation: float, include_decay: bool) -> np.ndarray:
-    """log coefficient minus its factorial half: k ln b + exponent ln n.
-
-    The factorial half is -(1/2)(ln n! - n ln alpha), around -4.5e10 at the
-    default term count; adding it here would erase the slow part at the
-    double-precision ulp of that magnitude, so the two halves stay separate
-    until a consumer combines their exact coefficients.
+    The report and the pairing identity share these very floats, which
+    keeps the identity's cancellation exact.
     """
-    exponent = deviation + (0.5 * params.exponent_gap if include_decay else 0.0)
-    return logs.k * math.log(params.b) + exponent * logs.log_n
+    n = np.array(indices, dtype=float)
+    return np.log(n), log_factorial(n), n * math.log(params.alpha)
 
 
-def _sum_terms(slow_part: np.ndarray, exponent: float, weight_sign: float,
-               logs: _IndexLogs) -> np.ndarray:
-    """Terms |c|^e (n! / alpha^n)^(e/2) n^(sign * (e/4 - 1/2)), log-evaluated.
-
-    The factorial halves of |c|^e and of the weight carry coefficients -e/2
-    and +e/2; both scalings by one half are exact, so their sum is exactly
-    zero and the 9e10-sized factorial logs never touch the slow remainder.
-    """
-    fact_coeff = exponent * -0.5 + 0.5 * exponent
-    log_terms = (exponent * slow_part
-                 + fact_coeff * (logs.log_fact - logs.log_pow)
-                 + weight_sign * (0.25 * exponent - 0.5) * logs.log_n)
-    return np.exp(log_terms)
+def _partials(terms: np.ndarray) -> list[float]:
+    return [math.fsum(terms[:k]) for k in range(1, len(terms) + 1)]
 
 
-@dataclass(frozen=True)
-class MembershipSums:
-    """Terms, partial sums, and tail ratios of the two membership series.
-
-    f uses the conjugate exponent of p, g uses q, both in the weight form
-    that telescopes to a geometric series.  printed_f_terms follows the
-    opposite-weight display at exponent p as printed; the gap between the
-    two conventions is reported per term, not adjudicated.
-    """
-
-    f_exponent: float
-    g_exponent: float
-    f_terms: tuple[float, ...]
-    g_terms: tuple[float, ...]
-    f_partial_sums: tuple[float, ...]
-    g_partial_sums: tuple[float, ...]
-    f_ratios: tuple[float, ...]
-    g_ratios: tuple[float, ...]
-    printed_f_terms: tuple[float, ...]
-    printed_gap: tuple[float, ...]
-
-
-def _partials(terms: np.ndarray) -> tuple[float, ...]:
-    return tuple(math.fsum(terms[:k]) for k in range(1, len(terms) + 1))
-
-
-def _tail_ratios(terms: np.ndarray) -> tuple[float, ...]:
-    return tuple(float(t1 / t0) for t0, t1 in zip(terms, terms[1:]))
-
-
-def membership_sums(params: CounterexampleParams) -> MembershipSums:
-    logs = _index_logs(params)
-    f_slow = _slow_part(params, logs, 0.25 - 0.5 / params.p_conjugate, True)
-    g_slow = _slow_part(params, logs, 0.25 - 0.5 / params.q, True)
-    e_f = params.p_conjugate
-    e_g = params.q
-    f_terms = _sum_terms(f_slow, e_f, -1.0, logs)
-    g_terms = _sum_terms(g_slow, e_g, -1.0, logs)
-    printed = _sum_terms(f_slow, params.p, 1.0, logs)
-    gap = np.abs(f_terms - printed)
-    return MembershipSums(
-        f_exponent=e_f, g_exponent=e_g,
-        f_terms=tuple(float(v) for v in f_terms),
-        g_terms=tuple(float(v) for v in g_terms),
-        f_partial_sums=_partials(f_terms),
-        g_partial_sums=_partials(g_terms),
-        f_ratios=_tail_ratios(f_terms),
-        g_ratios=_tail_ratios(g_terms),
-        printed_f_terms=tuple(float(v) for v in printed),
-        printed_gap=tuple(float(v) for v in gap))
-
-
-@dataclass(frozen=True)
-class DivergenceSums:
-    terms: tuple[float, ...]
-    partial_sums: tuple[float, ...]
-    ratios: tuple[float, ...]
-
-
-def divergence_sum(params: CounterexampleParams) -> DivergenceSums:
-    """Partial sums of the diagonal pairing series, scaled by pi/alpha.
-
-    Terms are b^(2k) times the k-th decay weight; they grow at least like
-    (b^2/3)^k, so the partial sums increase without bound.
-    """
-    logs = _index_logs(params)
-    log_terms = (2.0 * logs.k * math.log(params.b)
-                 + 0.5 * params.exponent_gap * logs.log_n)
-    terms = (math.pi / params.alpha) * np.exp(log_terms)
-    return DivergenceSums(terms=tuple(float(v) for v in terms),
-                          partial_sums=_partials(terms),
-                          ratios=_tail_ratios(terms))
-
-
-def pairing_term_identity(params: CounterexampleParams,
+def pairing_term_identity(params: CounterexampleParams, logs: tuple,
                           k: int) -> tuple[float, float]:
-    """k-th diagonal pairing term, two ways.
+    """k-th diagonal pairing term, two ways, from the ``index_logs``.
 
     Left: coefficient product times the exact Gaussian moment
     pi n! / alpha^(n+1), assembled from the shared log intermediates so the
@@ -224,11 +117,7 @@ def pairing_term_identity(params: CounterexampleParams,
     """
     if not 1 <= k <= params.terms:
         raise ValueError("term number out of range")
-    logs = _index_logs(params)
-    i = k - 1
-    log_n = float(logs.log_n[i])
-    log_fact = float(logs.log_fact[i])
-    log_pow = float(logs.log_pow[i])
+    log_n, log_fact, log_pow = (float(v[k - 1]) for v in logs)
     half_gap = 0.5 * params.exponent_gap
     # One flat compensated sum: the two -log_fact/2 halves and the moment's
     # +log_fact sum to exactly zero in real arithmetic on these floats, and
@@ -250,56 +139,69 @@ def pairing_term_identity(params: CounterexampleParams,
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    ratios: tuple[float, ...]
-    log_ratios: tuple[float, ...]
-    diverges: bool
-
-
-def growth_criterion_check(params: CounterexampleParams) -> GrowthReport:
-    """Ratio of the first function's coefficients to the membership envelope.
-
-    The envelope is sqrt(alpha^n / n!) n^(1/4 - 1/(2 q')); the ratio comes
-    out as b^k, growing without bound, which certifies the first function
-    escapes the smaller space.
-    """
-    logs = _index_logs(params)
-    f_slow = _slow_part(params, logs, 0.25 - 0.5 / params.p_conjugate, True)
-    # Coefficient and envelope share the factorial half exactly, so the
-    # ratio reduces to the slow parts alone.
-    log_ratios = f_slow - (0.25 - 0.5 / params.q_conjugate) * logs.log_n
-    ratios = np.exp(log_ratios)
-    diverges = params.terms == 0 or (params.b > 1.0 and bool(
-        np.all(np.diff(log_ratios) > 0.0) if params.terms > 1 else True))
-    return GrowthReport(ratios=tuple(float(v) for v in ratios),
-                        log_ratios=tuple(float(v) for v in log_ratios),
-                        diverges=diverges)
-
-
 def full_report(params: CounterexampleParams) -> dict:
-    """JSON-ready summary of every check, for the command-line front end."""
-    membership = membership_sums(params)
-    divergence = divergence_sum(params)
-    growth = growth_criterion_check(params)
+    """JSON-ready report of every check, for the command-line front end.
+
+    Membership: f uses the conjugate exponent of p, g uses q, both in the
+    weight form that telescopes to a geometric series.  The printed f terms
+    follow the opposite-weight display at exponent p as printed; the gap
+    between the two conventions is reported per term, not adjudicated.
+
+    Divergence: the diagonal pairing series scaled by pi/alpha, b^(2k) times
+    the k-th decay weight.  Its terms grow at least like (b^2/3)^k, so the
+    partial sums increase without bound.
+
+    Growth: the first function's coefficients over the membership envelope
+    sqrt(alpha^n / n!) n^(1/4 - 1/(2 q')).  The ratio comes out as b^k,
+    growing without bound, which certifies the first function escapes the
+    smaller space.
+    """
+    indices = build_indices(params)
+    logs = index_logs(params, indices)
+    log_n = logs[0]
+    k = np.arange(1, params.terms + 1, dtype=float)
+    half_gap = 0.5 * params.exponent_gap
+    # Log coefficients without their factorial half -(1/2)(ln n! - n ln
+    # alpha), around -4.5e10 at the default term count, which would erase
+    # the rest at its ulp.  The factorial halves of |c|^e and of the weight
+    # carry coefficients -e/2 and +e/2 and cancel exactly, and so do those
+    # of a coefficient and its envelope, so that half never enters.  Each
+    # exponent of n is summed before it multiplies ln n; split, the sums
+    # move the reported floats in their last bits.
+    f_slow = (k * math.log(params.b)
+              + (0.25 - 0.5 / params.p_conjugate + half_gap) * log_n)
+    g_slow = (k * math.log(params.b)
+              + (0.25 - 0.5 / params.q + half_gap) * log_n)
+
+    def membership(slow: np.ndarray, exponent: float, weight_sign: float):
+        # |c|^e (n! / alpha^n)^(e/2) n^(sign * (e/4 - 1/2))
+        return np.exp(exponent * slow
+                      + weight_sign * (0.25 * exponent - 0.5) * log_n)
+
+    f = membership(f_slow, params.p_conjugate, -1.0)
+    g = membership(g_slow, params.q, -1.0)
+    printed = membership(f_slow, params.p, 1.0)
+    divergence = (math.pi / params.alpha) * np.exp(
+        2.0 * k * math.log(params.b) + half_gap * log_n)
+    log_growth = f_slow - (0.25 - 0.5 / params.q_conjugate) * log_n
     residuals = []
-    for k in range(1, params.terms + 1):
-        lhs, rhs = pairing_term_identity(params, k)
+    for term in range(1, params.terms + 1):
+        lhs, rhs = pairing_term_identity(params, logs, term)
         residuals.append(abs(lhs - rhs) / rhs if rhs else 0.0)
     return {
         "params": {"p": params.p, "q": params.q, "b": params.b,
                    "terms": params.terms, "alpha": params.alpha},
-        "indices": list(build_indices(params)),
-        "membership_f_terms": list(membership.f_terms),
-        "membership_g_terms": list(membership.g_terms),
-        "membership_f_partial_sums": list(membership.f_partial_sums),
-        "membership_g_partial_sums": list(membership.g_partial_sums),
-        "membership_printed_f_terms": list(membership.printed_f_terms),
-        "membership_printed_gap": list(membership.printed_gap),
-        "divergence_terms": list(divergence.terms),
-        "divergence_partial_sums": list(divergence.partial_sums),
-        "divergence_ratios": list(divergence.ratios),
+        "indices": indices,
+        "membership_f_terms": f.tolist(),
+        "membership_g_terms": g.tolist(),
+        "membership_f_partial_sums": _partials(f),
+        "membership_g_partial_sums": _partials(g),
+        "membership_printed_f_terms": printed.tolist(),
+        "membership_printed_gap": np.abs(f - printed).tolist(),
+        "divergence_terms": divergence.tolist(),
+        "divergence_partial_sums": _partials(divergence),
+        "divergence_ratios": (divergence[1:] / divergence[:-1]).tolist(),
         "pairing_identity_residuals": residuals,
-        "growth_ratios": list(growth.ratios),
-        "growth_diverges": growth.diverges,
+        "growth_ratios": np.exp(log_growth).tolist(),
+        "growth_diverges": bool(np.all(np.diff(log_growth) > 0.0)),
     }

@@ -109,28 +109,45 @@ def _gaussian_cells(mu: GaussianDensity, r: float, reach: int):
     return i, j, masses.ravel()
 
 
-def lattice_partition(mu: MeasureSymbol, r: float,
-                      truncation: int = 0) -> LatticePartition:
+def _squares(mu: MeasureSymbol, r: float) -> tuple[float, float]:
+    """(reach, square count) of a disk's or a Gaussian's partition at side r:
+    the squares within reach of the centre cell, reach still a float so
+    that a side too small shows as a huge count.  Point masses visit no
+    squares."""
+    if isinstance(mu, UniformDisk):
+        reach = 1.0 + np.floor(mu.radius / r + 0.5)
+    elif isinstance(mu, GaussianDensity):
+        reach = 1.0 + np.ceil(mu.effective_radius(1e-18) / r)
+    else:
+        return 0.0, 0.0
+    return reach, (2.0 * reach + 1.0) * (2.0 * reach + 1.0)
+
+
+def _check_squares(what: str, squares, truncation: int):
+    """Budget for partitions visiting these square counts one after another,
+    each cell paired at truncation N (0 for none): time adds up over the
+    partitions, memory is the largest one's."""
+    check_budget(what, [(max(squares, default=0.0), _SQUARE_BYTES)],
+                 [(sum(squares), _SQUARE_SECONDS
+                   + _PAIRING_SECONDS * truncation * truncation)])
+
+
+def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     """Cell masses of point masses, a uniform disk or a Gaussian on the
     lattice of side r.
 
-    A disk's or a Gaussian's squares, each costed with its cell's pairing
-    at truncation N (0 for none), are checked before any is visited, with
-    reach still a float so that a side too small shows as a huge count.
+    A disk's or a Gaussian's squares are checked against the budget before
+    any is visited.
     """
     if not r > 0.0:
         raise ValueError("lattice side must be positive")
     if isinstance(mu, PointMasses):
         i, j, masses = _point_cells(mu, r)
     elif isinstance(mu, (UniformDisk, GaussianDensity)):
+        reach, squares = _squares(mu, r)
+        _check_squares(f"lattice side {r!r} over {squares:.3e} squares",
+                       [squares], 0)
         cells = _disk_cells if isinstance(mu, UniformDisk) else _gaussian_cells
-        reach = 1.0 + (np.floor(mu.radius / r + 0.5) if cells is _disk_cells
-                       else np.ceil(mu.effective_radius(1e-18) / r))
-        squares = (2.0 * reach + 1.0) * (2.0 * reach + 1.0)
-        check_budget(f"lattice side {r!r} over {squares:.3e} squares",
-                     [(squares, _SQUARE_BYTES)],
-                     [(squares, _SQUARE_SECONDS
-                       + _PAIRING_SECONDS * truncation * truncation)])
         i, j, masses = cells(mu, r, int(reach))
     else:
         raise FocklabError("lattice partitions take point masses, uniform "
@@ -168,48 +185,36 @@ def lattice_nuclear_bound(part: LatticePartition, params: FockParams) -> float:
     return (params.alpha / math.pi) * math.fsum(np.abs(part.cells[:, 1]))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    r: float
-    s1_error: float
-    op_error: float
-    nuclear_bound: float
-
-
 def convergence_study(mu: MeasureSymbol, r_values, size: int,
-                      params: FockParams) -> list[ConvergenceRow]:
-    """Trace-norm distance of the lattice approximant for each cell size."""
+                      params: FockParams) -> list[dict]:
+    """Trace-norm distance of the lattice approximant for each cell size:
+    one record of r, s1_error, op_error and nuclear_bound per side.
+
+    Every side's squares, each cell paired at truncation ``size``, are
+    checked against the budget together, before the reference is built.
+    """
+    squares = [_squares(mu, r)[1] for r in r_values if r > 0.0]
+    _check_squares(f"lattice sides {', '.join(map(repr, r_values))} over "
+                   f"{sum(squares):.3e} squares", squares, size)
     reference = build_from_measure(mu, size, params)
     rows = []
     for r in r_values:
-        part = lattice_partition(mu, r, size)
+        part = lattice_partition(mu, r)
         approx = lattice_operator(part, size, params)
         diff = TruncatedOperator(approx.entries - reference.entries, size,
                                  params, provenance="difference")
         sigma = singular_values(diff)
-        rows.append(ConvergenceRow(
-            r=float(r),
-            s1_error=schatten_norm(sigma, 1.0),
-            op_error=schatten_norm(sigma, math.inf),
-            nuclear_bound=lattice_nuclear_bound(part, params)))
+        rows.append({"r": float(r),
+                     "s1_error": schatten_norm(sigma, 1.0),
+                     "op_error": schatten_norm(sigma, math.inf),
+                     "nuclear_bound": lattice_nuclear_bound(part, params)})
     return rows
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    p: float
-    q: float
-    lower: float
-    upper: float
-    kernel_norm_residual: float
-    slack: float
-    within_slack: bool
-
-
 def rigidity_experiment(mu: MeasureSymbol, p: float, q: float,
-                        params: FockParams, r: float = 1.0 / 16.0,
-                        slack: float = 0.05) -> RigidityReport:
-    """Bracket the nuclear norm of a positive-measure operator at (p, q).
+                        params: FockParams, r: float = 1.0 / 16.0) -> dict:
+    """Bracket the nuclear norm of a positive-measure operator at (p, q):
+    the record of p, q, lower, upper and kernel_norm_residual.
 
     The lower witness is the transform's mass, the upper the finest lattice
     rep's nuclear bound; neither depends on (p, q).  What does vary is the
@@ -229,7 +234,5 @@ def rigidity_experiment(mu: MeasureSymbol, p: float, q: float,
     weighted_logs = -0.5 * params.alpha * np.abs(grid.nodes) ** 2
     residual = max(abs(norm(weighted_logs, exponent, params, grid) - 1.0)
                    for exponent in (conjugate_exponent(p), q))
-    within = upper <= lower * (1.0 + slack) + 1e-12
-    return RigidityReport(p=float(p), q=float(q), lower=lower, upper=upper,
-                          kernel_norm_residual=residual, slack=slack,
-                          within_slack=within)
+    return {"p": float(p), "q": float(q), "lower": float(lower),
+            "upper": float(upper), "kernel_norm_residual": float(residual)}

@@ -390,6 +390,19 @@ class TestCellBudget:
         assert captured.out == ""
         assert captured.err.startswith("ResourceError: lattice side")
 
+    def test_sides_share_one_budget(self, tmp_path, capsys):
+        # each side alone fits the time budget (0.0014 alone took 3.7 s),
+        # but the three together ran for about 10 s before they were budgeted
+        # as one report
+        config = write(tmp_path, "lattice.json", json.dumps({
+            "truncation": 64,
+            "measure": {"type": "uniform_disk", "radius": 1.0},
+            "r_values": [0.0016, 0.0015, 0.0014]}))
+        start = time.monotonic()
+        assert_exit_two(capsys, ["lattice-approx", "--config", config],
+                        "ResourceError: lattice side")
+        assert time.monotonic() - start < 1.0
+
     def test_widest_documented_gaussian_fits(self, tmp_path, capsys):
         # beta = 0.6 visits about 1.14e6 squares at r = 1/64, the smallest
         # default side; its mass-weighted basis tail (1/1.6)^N passes the
@@ -718,6 +731,44 @@ class TestCsvOutput:
         m, n, re, im = lines[2].split(",")
         assert (int(m), int(n)) == (0, 0)
         assert float(re) == pytest.approx(1.0 / 3.141592653589793, rel=1e-12)
+
+
+class TestCsvMatchesJson:
+    """CSV row k holds the k-th entry of each list or record of the JSON
+    report's data, value for value."""
+
+    def run_both(self, tmp_path, capsys, argv):
+        assert main(argv) == 0
+        data = parse_report(capsys.readouterr().out)["data"]
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split(",")
+        return data, [dict(zip(header, map(float, line.split(","))))
+                      for line in lines[2:]]
+
+    def test_counterexample(self, tmp_path, capsys):
+        data, rows = self.run_both(tmp_path, capsys, ["counterexample"])
+        columns = {"index": "indices",
+                   "membership_f": "membership_f_terms",
+                   "membership_g": "membership_g_terms",
+                   "divergence_partial": "divergence_partial_sums",
+                   "pairing_residual": "pairing_identity_residuals",
+                   "growth_ratio": "growth_ratios"}
+        assert len(rows) == len(data["indices"]) == 8
+        for k, row in enumerate(rows):
+            assert row.pop("k") == k + 1
+            assert row == {column: data[key][k]
+                           for column, key in columns.items()}
+
+    @pytest.mark.parametrize("subcommand", ["lattice-approx", "rigidity"])
+    def test_records(self, tmp_path, capsys, subcommand):
+        config = write(tmp_path, "disk.json", json.dumps({
+            "truncation": 32, "r_values": [0.5, 0.25],
+            "measure": {"type": "uniform_disk", "radius": 1.0}}))
+        data, rows = self.run_both(tmp_path, capsys,
+                                   [subcommand, "--config", config])
+        assert rows == data["rows"]
+        assert len(rows) == (2 if subcommand == "lattice-approx" else 1)
 
 
 class TestRoundTrip:

@@ -7,22 +7,31 @@ exponent pair exercises the index search away from exact powers.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from focklab.counterexample import (
     CounterexampleParams,
     build_indices,
-    divergence_sum,
     full_report,
-    growth_criterion_check,
-    membership_sums,
+    index_logs,
     pairing_term_identity,
 )
 
 
 DEFAULTS = CounterexampleParams()
 OFFGRID = CounterexampleParams(p=1.5, q=2.5, terms=5)
+
+
+def ratios(terms):
+    """Successive term ratios of a report's term list."""
+    return [b / a for a, b in zip(terms, terms[1:])]
+
+
+def pairing_terms(params, k):
+    return pairing_term_identity(
+        params, index_logs(params, build_indices(params)), k)
 
 
 class TestParams:
@@ -91,140 +100,148 @@ class TestCoefficients:
         # both sequences are positive reals, so every diagonal pairing term
         # a_n * conj(b_n) * (moment) is a nonnegative real
         for k in range(1, DEFAULTS.terms + 1):
-            lhs, _ = pairing_term_identity(DEFAULTS, k)
+            lhs, _ = pairing_terms(DEFAULTS, k)
             assert lhs >= 0.0
 
 
 class TestMembership:
 
     def test_default_terms_close_geometric_form(self):
-        ms = membership_sums(DEFAULTS)
-        for k, (tf, tg) in enumerate(zip(ms.f_terms, ms.g_terms), 1):
+        rep = full_report(DEFAULTS)
+        for k, (tf, tg) in enumerate(zip(rep["membership_f_terms"],
+                                         rep["membership_g_terms"]), 1):
             assert tf == pytest.approx((1.9 / 2.0) ** (4 * k), rel=1e-12)
             assert tg == pytest.approx((1.9 / 2.0) ** (4 * k), rel=1e-12)
 
     def test_default_ratios(self):
-        ms = membership_sums(DEFAULTS)
+        rep = full_report(DEFAULTS)
         cap = (1.9 / 2.0) ** 4
         assert cap == pytest.approx(0.81450625, rel=1e-12)
-        for r in ms.f_ratios + ms.g_ratios:
+        for r in (ratios(rep["membership_f_terms"])
+                  + ratios(rep["membership_g_terms"])):
             assert r == pytest.approx(cap, rel=1e-12)
 
     def test_ratio_caps(self):
-        ms = membership_sums(DEFAULTS)
-        assert all(r <= (1.9 / 2.0) ** ms.f_exponent + 1e-9
-                   for r in ms.f_ratios)
-        assert all(r <= (1.9 / 2.0) ** ms.g_exponent + 1e-9
-                   for r in ms.g_ratios)
+        rep = full_report(DEFAULTS)
+        assert all(r <= (1.9 / 2.0) ** DEFAULTS.p_conjugate + 1e-9
+                   for r in ratios(rep["membership_f_terms"]))
+        assert all(r <= (1.9 / 2.0) ** DEFAULTS.q + 1e-9
+                   for r in ratios(rep["membership_g_terms"]))
 
     def test_terms_below_geometric_envelope_off_grid(self):
         # off exact powers the k-th decay weight is <= 2^-k, so each term
         # sits below the geometric envelope even though single ratios may
         # poke above it by an O(1/n_k) factor
-        ms = membership_sums(OFFGRID)
-        for k, (tf, tg) in enumerate(zip(ms.f_terms, ms.g_terms), 1):
-            assert tf <= ((OFFGRID.b / 2.0) ** ms.f_exponent) ** k * (1 + 1e-9)
-            assert tg <= ((OFFGRID.b / 2.0) ** ms.g_exponent) ** k * (1 + 1e-9)
-        assert all(r < 1.0 for r in ms.f_ratios + ms.g_ratios)
+        rep = full_report(OFFGRID)
+        f, g = rep["membership_f_terms"], rep["membership_g_terms"]
+        for k, (tf, tg) in enumerate(zip(f, g), 1):
+            assert tf <= ((OFFGRID.b / 2.0) ** OFFGRID.p_conjugate) ** k \
+                * (1 + 1e-9)
+            assert tg <= ((OFFGRID.b / 2.0) ** OFFGRID.q) ** k * (1 + 1e-9)
+        assert all(r < 1.0 for r in ratios(f) + ratios(g))
 
     def test_partial_sums_cauchy(self):
-        ms = membership_sums(DEFAULTS)
-        limit_f = ms.f_terms[0] / (1.0 - (1.9 / 2.0) ** 4)
-        assert all(s < limit_f for s in ms.f_partial_sums)
-        increments = np.diff(ms.f_partial_sums)
+        rep = full_report(DEFAULTS)
+        limit_f = rep["membership_f_terms"][0] / (1.0 - (1.9 / 2.0) ** 4)
+        assert all(s < limit_f for s in rep["membership_f_partial_sums"])
+        increments = np.diff(rep["membership_f_partial_sums"])
         assert np.all(increments[1:] < increments[:-1])
 
     def test_printed_variant_recorded(self):
-        ms = membership_sums(DEFAULTS)
-        for k, t in enumerate(ms.printed_f_terms, 1):
+        rep = full_report(DEFAULTS)
+        printed = rep["membership_printed_f_terms"]
+        for k, t in enumerate(printed, 1):
             assert t == pytest.approx((1.9 / 2.0) ** (DEFAULTS.p * k),
                                       rel=1e-12)
-        for g, tf, tp in zip(ms.printed_gap, ms.f_terms, ms.printed_f_terms):
+        for g, tf, tp in zip(rep["membership_printed_gap"],
+                             rep["membership_f_terms"], printed):
             assert g == pytest.approx(abs(tf - tp), abs=1e-15)
 
     def test_single_term(self):
-        ms = membership_sums(CounterexampleParams(terms=1))
-        assert len(ms.f_terms) == 1
-        assert ms.f_partial_sums == (ms.f_terms[0],)
-        assert ms.f_ratios == ()
+        rep = full_report(CounterexampleParams(terms=1))
+        assert len(rep["membership_f_terms"]) == 1
+        assert rep["membership_f_partial_sums"] == rep["membership_f_terms"]
+        assert rep["divergence_ratios"] == []
 
 
 class TestDivergence:
 
     def test_default_term_ratio(self):
-        dv = divergence_sum(DEFAULTS)
-        for r in dv.ratios:
+        for r in full_report(DEFAULTS)["divergence_ratios"]:
             assert abs(r - 1.805) < 1e-12
 
     def test_partial_sums_strictly_increase(self):
         for params in (DEFAULTS, OFFGRID):
-            partials = divergence_sum(params).partial_sums
+            partials = full_report(params)["divergence_partial_sums"]
             assert all(b > a for a, b in zip(partials, partials[1:]))
 
     def test_lower_bound_ratio(self):
         for params in (DEFAULTS, OFFGRID):
-            dv = divergence_sum(params)
+            rep = full_report(params)
             floor = params.b ** 2 / 3.0
             assert floor > 1.0
-            assert all(r >= floor for r in dv.ratios)
+            assert all(r >= floor for r in rep["divergence_ratios"])
+            assert rep["divergence_ratios"] == ratios(rep["divergence_terms"])
 
     def test_single_term_scaled_alpha(self):
-        dv = divergence_sum(CounterexampleParams(terms=1, alpha=math.pi))
-        assert dv.partial_sums[0] == pytest.approx(1.805, rel=1e-12)
+        rep = full_report(CounterexampleParams(terms=1, alpha=math.pi))
+        assert rep["divergence_partial_sums"][0] == pytest.approx(1.805,
+                                                                  rel=1e-12)
 
     def test_first_term_closed_form(self):
-        dv = divergence_sum(DEFAULTS)
-        assert dv.terms[0] == pytest.approx(math.pi * 1.9 ** 2 / 2.0,
-                                            rel=1e-14)
+        rep = full_report(DEFAULTS)
+        assert rep["divergence_terms"][0] == pytest.approx(
+            math.pi * 1.9 ** 2 / 2.0, rel=1e-14)
 
 
 class TestPairingIdentity:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_agreement_defaults(self, k):
-        lhs, rhs = pairing_term_identity(DEFAULTS, k)
+        lhs, rhs = pairing_terms(DEFAULTS, k)
         assert abs(lhs - rhs) / rhs < 1e-10
 
     def test_agreement_off_grid(self):
         for k in range(1, OFFGRID.terms + 1):
-            lhs, rhs = pairing_term_identity(OFFGRID, k)
+            lhs, rhs = pairing_terms(OFFGRID, k)
             assert abs(lhs - rhs) / rhs < 1e-10
 
     def test_alpha_rescaling(self):
         # both sides carry the same explicit pi/alpha factor
-        base = pairing_term_identity(DEFAULTS, 4)
-        scaled = pairing_term_identity(CounterexampleParams(alpha=3.0), 4)
+        base = pairing_terms(DEFAULTS, 4)
+        scaled = pairing_terms(CounterexampleParams(alpha=3.0), 4)
         assert scaled[0] == pytest.approx(base[0] / 3.0, rel=1e-10)
         assert scaled[1] == pytest.approx(base[1] / 3.0, rel=1e-12)
 
     def test_rhs_closed_form(self):
-        lhs, rhs = pairing_term_identity(DEFAULTS, 2)
+        lhs, rhs = pairing_terms(DEFAULTS, 2)
         assert rhs == pytest.approx(math.pi * 1.9 ** 4 / 4.0, rel=1e-13)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            pairing_term_identity(DEFAULTS, 9)
+            pairing_terms(DEFAULTS, 9)
         with pytest.raises(ValueError):
-            pairing_term_identity(DEFAULTS, 0)
+            pairing_terms(DEFAULTS, 0)
 
 
 class TestGrowthCriterion:
 
     def test_ratios_are_powers_of_b(self):
-        gr = growth_criterion_check(DEFAULTS)
-        for k, (r, lr) in enumerate(zip(gr.ratios, gr.log_ratios), 1):
-            assert lr == pytest.approx(k * math.log(1.9), abs=1e-12)
+        growth = full_report(DEFAULTS)["growth_ratios"]
+        for k, r in enumerate(growth, 1):
+            assert math.log(r) == pytest.approx(k * math.log(1.9), abs=1e-12)
             assert r == pytest.approx(1.9 ** k, rel=1e-12)
-        assert gr.ratios[4] == pytest.approx(24.76099, rel=1e-5)
+        assert growth[4] == pytest.approx(24.76099, rel=1e-5)
 
     def test_diverges_flag(self):
-        assert growth_criterion_check(DEFAULTS).diverges
-        assert growth_criterion_check(OFFGRID).diverges
+        assert full_report(DEFAULTS)["growth_diverges"] is True
+        assert full_report(OFFGRID)["growth_diverges"] is True
 
     def test_off_grid_log_ratios(self):
-        gr = growth_criterion_check(OFFGRID)
-        for k, lr in enumerate(gr.log_ratios, 1):
-            assert lr == pytest.approx(k * math.log(OFFGRID.b), abs=1e-12)
+        growth = full_report(OFFGRID)["growth_ratios"]
+        for k, r in enumerate(growth, 1):
+            assert math.log(r) == pytest.approx(k * math.log(OFFGRID.b),
+                                                abs=1e-12)
 
 
 class TestCoexistence:
@@ -235,10 +252,63 @@ class TestCoexistence:
         CounterexampleParams(p=1.2, q=6.0, b=1.75, terms=4),
     ])
     def test_membership_converges_while_pairing_diverges(self, params):
-        ms = membership_sums(params)
-        dv = divergence_sum(params)
-        assert all(r < 1.0 for r in ms.f_ratios + ms.g_ratios)
-        assert all(r > 1.0 for r in dv.ratios)
+        rep = full_report(params)
+        assert all(r < 1.0 for r in ratios(rep["membership_f_terms"])
+                   + ratios(rep["membership_g_terms"]))
+        assert all(r > 1.0 for r in rep["divergence_ratios"])
+
+
+class TestMpmathReference:
+    """Report values off exact powers against the defining formulas at 50
+    digits, ln n! included: the float route never forms ln n!, whose two
+    halves cancel exactly, while this one computes it and lets it cancel."""
+
+    @pytest.mark.parametrize("alpha", [1e-300, 3.0, 1e300])
+    def test_offgrid_report(self, alpha):
+        params = CounterexampleParams(p=OFFGRID.p, q=OFFGRID.q,
+                                      terms=OFFGRID.terms, alpha=alpha)
+        rep = full_report(params)
+        with mpmath.workdps(50):
+            p, q, b = (mpmath.mpf(v) for v in (params.p, params.q, params.b))
+            a = mpmath.mpf(alpha)
+            p_conj, q_conj = p / (p - 1), q / (q - 1)
+            half_gap = (1 / q - 1 / p) / 2
+            expected = {key: [] for key in (
+                "membership_f_terms", "membership_g_terms",
+                "membership_printed_f_terms", "divergence_terms",
+                "growth_ratios")}
+            for k, n in enumerate(rep["indices"], 1):
+                n = mpmath.mpf(n)
+                ln_n, ln_a = mpmath.log(n), mpmath.log(a)
+                # ln of n! / alpha^n
+                ln_moment = mpmath.loggamma(n + 1) - n * ln_a
+                ln_f = (k * mpmath.log(b) + (mpmath.mpf(1) / 4
+                        - 1 / (2 * p_conj) + half_gap) * ln_n - ln_moment / 2)
+                ln_g = (k * mpmath.log(b) + (mpmath.mpf(1) / 4
+                        - 1 / (2 * q) + half_gap) * ln_n - ln_moment / 2)
+
+                def term(ln_c, e, sign):
+                    # |c|^e (n! / alpha^n)^(e/2) n^(sign (e/4 - 1/2))
+                    return mpmath.exp(e * ln_c + e / 2 * ln_moment
+                                      + sign * (e / 4 - mpmath.mpf(1) / 2)
+                                      * ln_n)
+
+                expected["membership_f_terms"].append(term(ln_f, p_conj, -1))
+                expected["membership_g_terms"].append(term(ln_g, q, -1))
+                expected["membership_printed_f_terms"].append(
+                    term(ln_f, p, 1))
+                # coefficient product times the moment pi n! / alpha^(n+1)
+                expected["divergence_terms"].append(mpmath.exp(
+                    ln_f + ln_g + mpmath.log(mpmath.pi) + ln_moment - ln_a))
+                # f's coefficient over sqrt(alpha^n / n!) n^(1/4 - 1/(2 q'))
+                expected["growth_ratios"].append(mpmath.exp(
+                    ln_f + ln_moment / 2
+                    - (mpmath.mpf(1) / 4 - 1 / (2 * q_conj)) * ln_n))
+            for key, values in expected.items():
+                assert len(rep[key]) == params.terms
+                for got, want in zip(rep[key], values):
+                    assert abs(got - want) <= 1e-12 * abs(want), (key, got,
+                                                                  want)
 
 
 class TestReport:
