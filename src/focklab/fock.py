@@ -43,17 +43,13 @@ def _check_exponent(p: float) -> float:
 
 @dataclass(frozen=True)
 class FockParams:
-    """Weight parameter alpha plus the exponent pair (p, q) of a run."""
+    """Weight parameter alpha of the Gaussian weight e^{-alpha |z|^2}."""
 
     alpha: float
-    p: float = 2.0
-    q: float = 2.0
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        object.__setattr__(self, "p", _check_exponent(self.p))
-        object.__setattr__(self, "q", _check_exponent(self.q))
 
 
 def _boundary_decay_check(scaled_logs: np.ndarray, grid: PolarGrid,

@@ -5,7 +5,8 @@ routes magnitude bookkeeping through log-scale values so that factorials and
 Gaussian weights never materialize as overflowing floats.  The special
 functions are the few the toolkit needs, at the orders it needs them: ln Gamma
 and erf elementwise from ``math``, the regularized incomplete gamma function
-at integer order as a Poisson sum, and the Gauss-Legendre rule.
+at integer order as a Poisson sum, and the Gauss-Legendre rule.  Grid
+cutoffs come from a closed-form bound on the Gamma tail, not its inverse.
 """
 
 import math
@@ -145,79 +146,24 @@ def regularized_gamma(a: int, x):
                                                          small)
 
 
-def _log_gamma_q(a: int, x: float, offset: float) -> tuple[float, float]:
-    """(ln Pois(a - 1; x), ln Q(a, x)) in plain floats; offset is s_{a-1}.
-
-    The scalar twin of regularized_gamma, kept in log space so that Q does
-    not underflow far out, and in plain floats because numpy scalar
-    arithmetic in its loop would cost milliseconds an inversion.
-    """
-    m = a - 1
-    log_ratio = (math.log(x / m) if x < 0.5 * m
-                 else math.log1p((x - m) / max(m, 1)))
-    log_lead = m * log_ratio + (m - x) + offset
-    total = term = 1.0
-    j = 0
-    while True:
-        j += 1
-        r = x / (a + j) if x < a else (a - j) / x
-        term *= r
-        total += term
-        if not term * r > _EPS * (1.0 - r) * total:
-            break
-    if x >= a:
-        return log_lead, log_lead + math.log(total)
-    return log_lead, math.log1p(-math.exp(log_lead) * (x / a) * total)
-
-
-def inverse_gamma_q(a: int, tol: float) -> float:
-    """The x with Q(a, x) = tol, for integer a >= 1 and tol in (0, 1).
-
-    Newton's method on ln Q, which is concave and falling in x, so every
-    step after the first lands right of the root and the iterates fall
-    to it; a bisection guard keeps them inside the bracket found so far.
-    """
-    if not (a >= 1 and 0.0 < tol < 1.0):
-        raise ValueError("inverse_gamma_q needs a >= 1 and tol in (0, 1)")
-    offset = float(log_peak_offset(a - 1))
-    target = math.log(tol)
-    lo, hi = 0.0, math.inf
-    x = float(a)
-    for _ in range(200):
-        log_lead, log_q = _log_gamma_q(a, x, offset)
-        g = log_q - target
-        if g == 0.0:
-            return x
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        # d ln Q / dx = -Pois(a - 1; x) / Q
-        step = g * math.exp(log_q - log_lead)
-        # a step within rounding, or rounding noise in ln Q flipping the
-        # sign of g between neighbouring floats, ends the search
-        if abs(step) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * x:
-            return x + step
-        x += step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
-    raise ArithmeticError(f"Q({a}, x) = {tol!r} did not converge")
-
-
 def tail_radius(alpha: float, power: float, tol: float = 1e-14) -> float:
     """Cutoff radius R making the Gaussian moment tail negligible.
 
-    Smallest R with  integral_{|z|>R} |z|^power e^{-alpha |z|^2} dA
-    below ``tol`` times the full-plane value.  The tail is Q(a, alpha R^2)
-    with a = power / 2 + 1, so R comes from its inverse; power must be
-    an even integer, which makes a an integer.
+    The tail  integral_{|z|>R} |z|^power e^{-alpha |z|^2} dA  over the
+    full-plane value is Q(a, alpha R^2), with a = power / 2 + 1.  A Gamma(a)
+    variable is sub-gamma on its right tail with variance factor a and
+    scale 1, so Q(a, a + sqrt(2 a t) + t) <= e^{-t} (Boucheron, Lugosi and
+    Massart, Concentration Inequalities, OUP 2013, section 2.4); t = ln(1/tol)
+    puts the tail below ``tol``.  For tol <= 1e-13 the radius is at most
+    1.14 times the exact root, and within 1.005 of it from a = 4097 up.
     """
     if not alpha > 0.0:
         raise ValueError(f"weight parameter must be positive, got {alpha!r}")
-    if power < 0 or power % 2 != 0 or not 0.0 < tol < 1.0:
-        raise ValueError(
-            "tail_radius needs an even power >= 0 and tol in (0, 1)")
-    return math.sqrt(inverse_gamma_q(int(power) // 2 + 1, tol) / alpha)
+    if not (power >= 0 and 0.0 < tol < 1.0):
+        raise ValueError("tail_radius needs a power >= 0 and tol in (0, 1)")
+    a = 0.5 * power + 1.0
+    t = -math.log(tol)
+    return math.sqrt((a + math.sqrt(2.0 * a * t) + t) / alpha)
 
 
 def check_budget(what: str, nbytes=(), seconds=()):

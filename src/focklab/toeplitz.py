@@ -505,9 +505,10 @@ def trace(op) -> complex:
 def _covering_grid(op: TruncatedOperator) -> PolarGrid:
     """Grid extending past the support of every retained basis function.
 
-    Its cutoff puts Q(N + 1, alpha R^2) at 1e-13, and the top mode's
-    Gaussian tail Q(N, alpha R^2) lies below that, so truncating a plane
-    integral of the transform to the grid loses nothing the matrix can see.
+    Its cutoff puts Q(N + 1, alpha R^2) below 1e-13 (tail_radius), and the
+    top mode's Gaussian tail Q(N, alpha R^2) lies below that, so truncating
+    a plane integral of the transform to the grid loses nothing the matrix
+    can see.
     """
     size = op.truncation
     cutoff = tail_radius(op.params.alpha, 2 * size, 1e-13)
@@ -622,8 +623,8 @@ def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
     tail = float(basis_tail_mass(size, params.alpha, grid.cutoff_radius))
     _refuse_tail(tail, size, " over the symbol support", "enlarge N")
     left = build_from_measure(phi, size, params)
-    product = left.entries @ op.entries
-    matrix_side = complex_fsum(np.diagonal(product))
+    matrix_side = complex_fsum(np.einsum("ij,ji->i", left.entries,
+                                         op.entries))
     if radial:
         quad_side = _band_zero_integral(op, grid,
                                         density_values(phi, grid.radii))

@@ -1056,6 +1056,12 @@ class TestSubcommands:
             (other["data"]["z0_re"], other["data"]["z0_im"])
         assert base["passed"] and other["passed"]
 
+    def test_negative_seed(self, capsys):
+        # any integer seeds the probe angle
+        assert main(["kernel-continuity", "--seed", "-1"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["seed"] == -1 and report["passed"]
+
     def test_rigidity_point_mass_bracket(self, tmp_path, capsys):
         config = write(tmp_path, "pm.json", MINIMAL)
         assert main(["rigidity", "--config", config]) == 0
@@ -1099,26 +1105,37 @@ class TestImports:
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert out.strip() == "[]"
 
-    def test_no_numpy_polynomial(self, tmp_path):
-        # Gauss-Legendre rules come from focklab.numerics
+    def loaded_around_subcommands(self, tmp_path, module):
+        """Whether ``module`` is loaded after importing the command line,
+        then after running every subcommand on the unit disk."""
         disk = write(tmp_path, "disk.json", json.dumps({
             "truncation": 32, "measure": {"type": "uniform_disk",
                                           "radius": 1.0}}))
         out = self.run_python(
             "import contextlib, io, sys, focklab.cli\n"
-            "print('numpy.polynomial' in sys.modules)\n"
+            f"print({module!r} in sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    for name in focklab.cli.SUBCOMMANDS:\n"
             f"        code = focklab.cli.main([name, '--config', {disk!r}])\n"
             "        assert code == 0, name\n"
-            "print('numpy.polynomial' in sys.modules)")
-        assert out.split() == ["False", "False"]
+            f"print({module!r} in sys.modules)")
+        return out.split()
+
+    def test_no_numpy_polynomial(self, tmp_path):
+        # Gauss-Legendre rules come from focklab.numerics
+        assert self.loaded_around_subcommands(
+            tmp_path, "numpy.polynomial") == ["False", "False"]
+
+    def test_no_numpy_random(self, tmp_path):
+        # kernel-continuity draws its probe angle from the standard library
+        assert self.loaded_around_subcommands(
+            tmp_path, "numpy.random") == ["False", "False"]
 
     def test_main_first_imports_no_module(self, tmp_path):
-        # numpy loads fft and random lazily, and argparse imports locale on
-        # first use; a first import inside main lands in every report's
-        # compute time.  The density toeplitz report runs first, then the
-        # subcommands with other code paths.
+        # numpy loads fft lazily and argparse imports locale on first use;
+        # a first import inside main lands in every report's compute time.
+        # The density toeplitz report runs first, then the subcommands with
+        # other code paths.
         density = {"truncation": 32, "measure": {
             "type": "gaussian", "beta": 1.2, "x": 0.5, "y": -0.3}}
         disk = {"truncation": 32, "measure": {"type": "uniform_disk",

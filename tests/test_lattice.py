@@ -256,8 +256,8 @@ class TestNuclearUpperBound:
     def test_single_normalized_kernel(self):
         # the unit cross norm that lets the bound skip quadrature
         grid, logs = kernel_logs(1.0)
-        cross = (norm(logs, conjugate_exponent(PARAMS.p), PARAMS, grid)
-                 * norm(logs, PARAMS.q, PARAMS, grid))
+        cross = (norm(logs, conjugate_exponent(2.0), PARAMS, grid)
+                 * norm(logs, 2.0, PARAMS, grid))
         assert cross == pytest.approx(1.0, rel=1e-9)
 
     def test_two_kernels(self):
@@ -267,8 +267,8 @@ class TestNuclearUpperBound:
         for center, weight in part.cells:
             grid, logs = kernel_logs(center)
             summed += abs(weight) * (
-                norm(logs, conjugate_exponent(PARAMS.p), PARAMS, grid)
-                * norm(logs, PARAMS.q, PARAMS, grid))
+                norm(logs, conjugate_exponent(2.0), PARAMS, grid)
+                * norm(logs, 2.0, PARAMS, grid))
         assert lattice_nuclear_bound(part, PARAMS) == pytest.approx(
             (PARAMS.alpha / math.pi) * summed, rel=1e-9)
 

@@ -3,15 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammainccinv
 
 from focklab import numerics
 from focklab.errors import QuadratureError, ResourceError
 from focklab.numerics import (check_budget, erf, gauss_legendre,
-                              integrate_plane, inverse_gamma_q,
-                              log_basis_coeff, log_factorial, log_poisson,
-                              lr_norm, min_angular_nodes, node_count,
-                              polar_grid, regularized_gamma, tail_radius)
+                              integrate_plane, log_basis_coeff,
+                              log_factorial, log_poisson, lr_norm,
+                              min_angular_nodes, node_count, polar_grid,
+                              regularized_gamma, tail_radius)
 from focklab.toeplitz import basis_tail_mass
 
 mpmath.mp.dps = 50
@@ -221,37 +221,51 @@ class TestBasisNormalization:
 
 
 class TestTailRadius:
+    """The cutoff comes from a tail bound, not the inverse of Q: it must put
+    Q(a, alpha R^2) at or below tol, and lie within 1.14 times the exact
+    root (1.005 from a = 4097 up)."""
+
+    @staticmethod
+    def check_bound(a, tol):
+        def log_tail(x):
+            return mpmath.log(mp_gamma_q(a, x)) - mpmath.log(tol)
+
+        # the root in x = alpha R^2 does not depend on alpha
+        exact = mpmath.findroot(log_tail, mpmath.mpf(gammainccinv(a, tol)))
+        worst = 1.005 if a >= 4097 else 1.14
+        for alpha in (1e-6, 1.0, 1e6):
+            radius = tail_radius(alpha, 2.0 * (a - 1.0), tol)
+            x = mpmath.mpf(alpha) * mpmath.mpf(radius) ** 2
+            assert mp_gamma_q(a, x) <= tol, alpha
+            assert 1.0 <= radius / mpmath.sqrt(exact / alpha) <= worst, alpha
 
     def test_tail_below_tolerance(self):
         for alpha, power in ((1.0, 0), (0.5, 128), (math.pi, 400)):
             radius = tail_radius(alpha, power, 1e-14)
             a = 0.5 * power + 1.0
-            assert gammaincc(a, alpha * radius ** 2) <= 1.0000001e-14
-            # barely shrinking the radius must break the bound
-            assert gammaincc(a, alpha * (0.98 * radius) ** 2) > 1e-14
+            assert gammaincc(a, alpha * radius ** 2) <= 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
             tail_radius(-1.0, 4)
         with pytest.raises(ValueError):
             tail_radius(1.0, 4, tol=2.0)
-        with pytest.raises(ValueError, match="even power"):
-            tail_radius(1.0, 3)
+        with pytest.raises(ValueError):
+            tail_radius(1.0, -2)
+        # odd powers answer: the bound holds at every order a >= 1
+        radius = tail_radius(1.0, 3, 1e-14)
+        assert gammaincc(2.5, radius ** 2) <= 1e-14
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-15])
     @pytest.mark.parametrize("size", [8, 16, 64, 128, 512, 1024, 4096])
     def test_against_mpmath(self, size, tol):
-        # the grid cutoffs: Q(N + 1, alpha R^2) = tol with power 2N; the
-        # root in x = alpha R^2 does not depend on alpha
-        a = size + 1
+        # the grid cutoffs: Q(N + 1, alpha R^2) <= tol with power 2N
+        self.check_bound(size + 1, tol)
 
-        def log_tail(x):
-            return mpmath.log(mp_gamma_q(a, x)) - mpmath.log(tol)
-
-        exact = mpmath.findroot(log_tail, mpmath.mpf(inverse_gamma_q(a, tol)))
-        for alpha in (1e-6, 1e-3, 1.0, 1e3, 1e6):
-            radius = tail_radius(alpha, 2 * size, tol)
-            assert relative_error(radius, mpmath.sqrt(exact / alpha)) < 2e-15
+    @pytest.mark.parametrize("tol", [1e-13, 1e-14, 1e-15])
+    @pytest.mark.parametrize("a", [1, 1.5, 9, 65, 129, 4097])
+    def test_bound_against_mpmath(self, a, tol):
+        self.check_bound(a, tol)
 
 
 class TestIncompleteGamma:
@@ -299,8 +313,8 @@ class TestIncompleteGamma:
     def test_truncation_verdict_neighbourhood(self, size):
         # P(N, alpha|z|^2) against 1e-12 decides whether a Berezin or
         # point-mass report answers or exits 2
-        lo = inverse_gamma_q(size, 1.0 - 1e-13)
-        hi = inverse_gamma_q(size, 1.0 - 1e-11)
+        lo = gammainccinv(size, 1.0 - 1e-13)
+        hi = gammainccinv(size, 1.0 - 1e-11)
         z = np.sqrt(np.linspace(lo, hi, 41))
         alpha = 0.7
         z /= math.sqrt(alpha)
@@ -324,11 +338,6 @@ class TestIncompleteGamma:
                 assert got == -math.inf
             else:
                 assert abs(got - float(exact)) <= 1e-15 * max(1.0, abs(got))
-
-    def test_inverse_validation(self):
-        for a, tol in ((0, 0.5), (3, 0.0), (3, 1.0)):
-            with pytest.raises(ValueError):
-                inverse_gamma_q(a, tol)
 
 
 class TestLrNorm:

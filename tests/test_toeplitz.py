@@ -371,6 +371,18 @@ class TestTracePairing:
             assert matrix_side == pytest.approx(expected, rel=1e-6), phi
             assert quad_side == pytest.approx(matrix_side, rel=1e-6), phi
 
+    @pytest.mark.parametrize("size", [256, 512])
+    def test_identity_matrix_side_is_product_diagonal(self, size):
+        # the diagonal of T_phi S is read without forming the product; for
+        # the CLI's identity operator it is the product's, bit for bit
+        identity = identity_operator(size, PARAMS)
+        for phi in (UniformDisk(1.0, 1.0),
+                    GaussianDensity(1.0, 0.6, center=1.2 - 0.9j)):
+            left = build_from_measure(phi, size, PARAMS)
+            matrix_side, _ = trace_pairing(phi, identity)
+            assert matrix_side == complex_fsum(
+                np.diagonal(left.entries @ identity.entries)), phi
+
     def test_basis_tail_over_support_refused(self):
         # the Gaussian's grid reaches radius 6.4, where the kernel keeps
         # all of its basis mass past N = 16
