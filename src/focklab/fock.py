@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridExtentError
-from .numerics import PolarGrid, log_basis_coeff, node_count, polar_grid
+from .numerics import (PolarGrid, log_basis_coeff, node_count, polar_grid,
+                       real_fsum)
 
 # In u = sqrt(alpha)(w - c) a unit kernel's weighted modulus is e^{-|u|^2/2};
 # past |u| = 8.5 the widest integrand (p = 1) keeps e^{-36}, 2e-16 of its mass
@@ -108,7 +109,7 @@ def norm(weighted_logs: np.ndarray, p: float, params: FockParams,
     scaled -= ref
     np.exp(scaled, out=scaled)
     scaled *= grid.weights
-    total = math.fsum(scaled)
+    total = real_fsum(scaled)
     log_norm = (ref + math.log(p * params.alpha / (2.0 * math.pi) * total)) / p
     return math.exp(log_norm)
 

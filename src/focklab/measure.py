@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FocklabError, GridExtentError, PositivityError
 from .fock import FockParams
 from .numerics import (PolarGrid, check_budget, complex_fsum, log_poisson,
-                       min_angular_nodes, node_count, polar_grid,
+                       min_angular_nodes, node_count, polar_grid, real_fsum,
                        regularized_gamma)
 
 _DROP = 1e-15
@@ -152,13 +152,13 @@ def total_mass(mu: MeasureSymbol) -> complex:
 def total_variation(mu: MeasureSymbol) -> float:
     """|mu|(C): total variation mass."""
     if isinstance(mu, PointMasses):
-        return math.fsum(np.abs(mu.weights))
+        return real_fsum(np.abs(mu.weights))
     if isinstance(mu, GaussianDensity):
         return abs(mu.amplitude) * math.pi / mu.beta
     if isinstance(mu, UniformDisk):
         return abs(mu.amplitude) * math.pi * mu.radius ** 2
     nodes, weights, values = density_samples(mu)
-    return math.fsum(weights * np.abs(values))
+    return real_fsum(weights * np.abs(values))
 
 
 def density_samples(mu: Density, radial_nodes: int = 96,
@@ -341,7 +341,7 @@ def berezin_lr_norm(mu: MeasureSymbol, r: float, params: FockParams) -> float:
         return max([peak] + extra)
     if not r >= 1.0:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {r!r}")
-    return math.fsum(weights * mags ** r) ** (1.0 / r)
+    return real_fsum(weights * mags ** r) ** (1.0 / r)
 
 
 def berezin_lr_constant(alpha: float, r: float) -> float:
@@ -353,14 +353,30 @@ def berezin_lr_constant(alpha: float, r: float) -> float:
 
 def disk_cell_area(x0: float, x1: float, y0: float, y1: float,
                    radius: float, cx: float = 0.0, cy: float = 0.0) -> float:
-    """Exact area of [x0,x1] x [y0,y1] intersected with a disk.
+    """Area of [x0,x1] x [y0,y1] intersected with a disk, in closed form.
 
     Evaluated by inclusion-exclusion over corner survival areas, each reduced
-    to closed-form circular-segment integrals.  This is what makes lattice
-    masses of disk indicators exact rather than quadrature estimates.
+    to closed-form circular-segment integrals.  The corner areas are of
+    order pi R^2, so the error is absolute, not relative: at most
+    6.5e-16 R^2 against 40-digit references on the cells of side 1/16 and
+    1/64 that the circles of radius 0.6, 1 and 1.85 cross, where a thin
+    sliver's relative error reaches 6.6e-6.
+
+    The rectangle is evaluated at its canonical image under the eight
+    symmetries of the square about the disk's centre: the image whose
+    centre lies in the octant 0 <= x <= y, where those errors are smallest
+    (up to 9.6e-15 R^2 at the image with y <= x).  Negations and the swap
+    of the axes are exact, so all eight images get the same value to the
+    bit.
     """
     x0, x1 = x0 - cx, x1 - cx
     y0, y1 = y0 - cy, y1 - cy
+    if x0 + x1 < 0.0:
+        x0, x1 = -x1, -x0
+    if y0 + y1 < 0.0:
+        y0, y1 = -y1, -y0
+    if (x0 + x1, x0, x1) > (y0 + y1, y0, y1):
+        x0, x1, y0, y1 = y0, y1, x0, x1
     R = radius
 
     def half_plane(a: float) -> float:

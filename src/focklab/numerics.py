@@ -9,6 +9,7 @@ at integer order as a Poisson sum, and the Gauss-Legendre rule.  Grid
 cutoffs come from a closed-form bound on the Gamma tail, not its inverse.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,14 +30,30 @@ _RULE_SECONDS = 1.1e-9  # a Gauss-Legendre radius squared (23,000: 0.58 s)
 _NODE_BYTES = 24  # a node and its weight (1e7 nodes: 24.0 bytes)
 _FLOAT_MAX = float(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
+# floats one list of real_fsum holds: 85,000 take 3.0 ms in lists of 2^9 to
+# 2^16 or in one list, 4.5 ms over the array; short lists hold little
+_FSUM_BLOCK = 2 ** 10
 # s_n = ln(n^n e^{-n} / n!) below n = 16, where Stirling's series is too short
 _SMALL_PEAK_OFFSETS = np.array(
     [0.0] + [k * math.log(k) - k - math.lgamma(k + 1.0) for k in range(1, 16)])
 
 
+def real_fsum(values) -> float:
+    """Correctly rounded sum of a float array.
+
+    math.fsum reads it as lists of _FSUM_BLOCK Python floats: the same bits
+    as over the array, where it would make a numpy scalar of every element,
+    and no float object for every element held at once.
+    """
+    values = np.reshape(values, -1)  # a view of a strided vector
+    return math.fsum(itertools.chain.from_iterable(
+        values[k:k + _FSUM_BLOCK].tolist()
+        for k in range(0, values.size, _FSUM_BLOCK)))
+
+
 def complex_fsum(values) -> complex:
     """Correctly rounded sum of complex samples, real and imaginary parts apart."""
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    return complex(real_fsum(values.real), real_fsum(values.imag))
 
 
 def _elementwise(f, x):
@@ -347,4 +364,4 @@ def lr_norm(f, grid: PolarGrid, r: float) -> float:
         return float(mags.max()) if mags.size else 0.0
     if not r >= 1.0:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {r!r}")
-    return math.fsum(grid.weights * mags ** r) ** (1.0 / r)
+    return real_fsum(grid.weights * mags ** r) ** (1.0 / r)

@@ -22,7 +22,8 @@ from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       UniformDisk, density_values, disk_diagonal,
                       support_radius_of)
 from .numerics import (PolarGrid, complex_fsum, log_factorial, log_poisson,
-                       polar_grid, regularized_gamma, tail_radius)
+                       polar_grid, real_fsum, regularized_gamma,
+                       tail_radius)
 
 _TAIL_TOL = 1e-12
 # a Gaussian's tail is the share of its trace past N, held to the trace
@@ -34,7 +35,8 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # a ring block's scale factors stay within e^{+-_BLOCK_SPAN}; half the
 # float range's exponent leaves room for the products and their sums
 _BLOCK_SPAN = 0.5 * math.log(_FLOAT_MAX)
-# basis samples one block of a point or cell pairing holds
+# basis samples one block of a point or cell pairing holds; a folded one
+# holds them and their weighted copy in the same bytes
 _PAIRING_CHUNK_BYTES = 4 * 2 ** 20
 
 
@@ -141,30 +143,77 @@ def _density_support(mu) -> float:
 
 
 def _pairing_matrix(nodes, c: np.ndarray, size: int, alpha: float,
-                    conjugate_output: bool = True) -> np.ndarray:
+                    conjugate_output: bool = True,
+                    mass: np.ndarray | None = None) -> np.ndarray:
     """Entries (alpha/pi) sum_i c_i L[m, i] E[n, i], E = basis_matrix(nodes).
 
     L is conj(E) for the sesquilinear (Toeplitz) pairing and E for the
     bilinear (Hankel) one; c holds point masses or lattice cell masses.
+    A c of shape (4, nodes) holds four phase classes instead (a lattice
+    folded by its quarter turns, Toeplitz pairing only): entry (m, n) then
+    sums class (n - m) mod 4 alone.  Each class is multiplied only in
+    the residue blocks it reaches, rows m = a mod 4 against columns
+    n = a + rho mod 4, as one batched product of the four blocks, and not
+    at all where it is zero.
+
     The sum runs over blocks of nodes whose basis samples take
-    _PAIRING_CHUNK_BYTES, so memory does not grow with the node count.
-    TruncationError when the mass-weighted basis tail past N reaches 1e-12:
-    the truncation cannot represent mass that far out.
+    _PAIRING_CHUNK_BYTES (with their weighted copy, for phase classes), so
+    memory does not grow with the node count.
+    TruncationError when the basis tail past N, weighted by ``mass``
+    (|c| unless given), reaches 1e-12: the truncation cannot represent
+    mass that far out.
     """
     nodes = np.asarray(nodes, dtype=complex).ravel()
-    mass = np.abs(c)
-    total = math.fsum(mass)
+    if mass is None:
+        mass = np.abs(c)
+    total = real_fsum(mass)
     if total > 0.0:
         _refuse_tail(float(mass @ basis_tail_mass(size, alpha, nodes)) / total,
                      size, f", weighted by mass over {nodes.size} points,",
                      "enlarge N or move the mass nearer the origin")
-    step = max(1, _PAIRING_CHUNK_BYTES // (16 * size))
-    entries = np.zeros((size, size), dtype=complex)
+    folded = c.ndim == 2
+    # a folded sum samples the basis up to a multiple of 4 rows, so that its
+    # residue blocks are equal; the rows past N are cut off at the end
+    rows = -(-size // 4) * 4 if folded else size
+    entries = np.zeros((rows, rows), dtype=complex)
+    step = max(1, _PAIRING_CHUNK_BYTES // (16 * rows * (1 + folded)))
     for start in range(0, nodes.size, step):
-        e = basis_matrix(nodes[start:start + step], size, alpha)
-        left = np.conj(e) if conjugate_output else e
-        entries += left @ (c[start:start + step, None] * e.T)
-    return (alpha / math.pi) * entries
+        e = basis_matrix(nodes[start:start + step], rows, alpha)
+        if folded:
+            _add_residue_blocks(entries, e, c[:, start:start + step])
+        else:
+            left = np.conj(e) if conjugate_output else e
+            entries += left @ (c[start:start + step, None] * e.T)
+            del left
+        del e
+    return (alpha / math.pi) * entries[:size, :size]
+
+
+def _add_residue_blocks(entries: np.ndarray, e: np.ndarray, c: np.ndarray):
+    """Add the phase classes c over one block of nodes to entries:
+    conj(E_a) (c_rho E_b).T to the residue block of rows a mod 4 and
+    columns b = a + rho mod 4, X_a being the rows X[a::4].  That is one
+    product of the four blocks a class, and none for a class that is zero
+    on these nodes.
+
+    Each block is summed as the conjugate of E_a conj(c_rho E_b).T, the
+    same sum, so that no conjugate copy of e is held beside it.
+    """
+    blocks = entries.shape[0] // 4
+    # entries[4p + a, 4q + b] is by_residue[p, a, q, b]
+    by_residue = entries.reshape(blocks, 4, blocks, 4)
+    e4 = e.reshape(blocks, 4, -1).swapaxes(0, 1)
+    right = np.empty_like(e4)
+    a = np.arange(4)
+    for rho in range(4):
+        if not c[rho].any():
+            continue
+        # right[a] = conj(c_rho E_{a + rho mod 4})
+        np.multiply(e4[rho:], c[rho], out=right[:4 - rho])
+        np.multiply(e4[:rho], c[rho], out=right[4 - rho:])
+        np.conjugate(right, out=right)
+        by_residue[:, a, :, (a + rho) % 4] += np.conj(
+            e4 @ right.swapaxes(1, 2))
 
 
 def _ring_bands(rho: np.ndarray, bilinear: bool = False):
@@ -561,7 +610,7 @@ def transform_l1_norm(op: TruncatedOperator) -> float:
     alpha = op.params.alpha
     samples = _ring_transform(op.entries, grid, alpha)
     rings = _ring_sums(grid.weights * np.abs(samples), grid)
-    return (alpha / math.pi) * math.fsum(rings)
+    return (alpha / math.pi) * real_fsum(rings)
 
 
 def identity_operator(size: int, params: FockParams) -> TruncatedOperator:
@@ -586,7 +635,7 @@ def schatten_norm(sigma: np.ndarray, s: float) -> float:
         return 0.0
     if math.isinf(s):
         return float(sigma[0])
-    return math.fsum(sigma ** s) ** (1.0 / s)
+    return real_fsum(sigma ** s) ** (1.0 / s)
 
 
 def adjoint_isometry_check(op: TruncatedOperator,

@@ -1,21 +1,26 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf, gammaln
 
+from focklab import lattice
 from focklab.cli import main
 from focklab.errors import FocklabError, PositivityError
 from focklab.fock import FockParams, conjugate_exponent, kernel_grid, norm
-from focklab.lattice import (convergence_study, lattice_nuclear_bound,
+from focklab.lattice import (_FOLD_MIN_CELLS, _quarter_fold,
+                             convergence_study, lattice_nuclear_bound,
                              lattice_operator, lattice_partition,
                              rigidity_experiment)
 from focklab.measure import (Density, GaussianDensity, PointMasses,
                              UniformDisk, berezin_measure, disk_cell_area,
                              total_mass, total_variation)
-from focklab.toeplitz import (build_from_point_masses, schatten_norm,
-                              singular_values, trace)
+from focklab.toeplitz import (basis_matrix, build_from_point_masses,
+                              schatten_norm, singular_values, trace)
 
 PARAMS = FockParams(alpha=1.0)
 
@@ -214,6 +219,108 @@ class TestLatticeOperator:
         discretized = sum(w for _, w in part.cells)
         assert trace(op).real == pytest.approx(
             discretized.real / math.pi, rel=1e-9)
+
+
+# support radius each truncation represents within the 1e-12 basis tail
+SCALE = {8: 0.25, 13: 0.6, 61: 3.0, 64: 3.0}
+AMPLITUDES = st.builds(lambda m, t: m * cmath.exp(1j * t), st.floats(0.1, 2.0),
+                       st.floats(-math.pi, math.pi))
+
+
+def long_double_pairing(nodes, c, size):
+    """(alpha/pi) sum_i c_i conj(E[m, i]) E[n, i] over the unfolded cells,
+    the products summed in long double.  Summed in double (dense_pairing
+    of test_toeplitz), the unfolded products are off by up to 1.4e-15 of
+    the norm at a few thousand cells, the folded ones by 2.6e-16."""
+    e = basis_matrix(nodes, size, PARAMS.alpha).astype(np.clongdouble)
+    product = np.conj(e) @ (c[:, None] * e.T)
+    return ((PARAMS.alpha / math.pi) * product).astype(complex)
+
+
+@st.composite
+def folded_cases(draw):
+    """(partition, truncation): a disk, a centred or off-centre Gaussian, or
+    a point cloud whose cells share orbits of the quarter turns, with an
+    origin cell, cells on the axes and complex weights."""
+    size = draw(st.sampled_from(sorted(SCALE)))
+    scale = SCALE[size]
+    kind = draw(st.sampled_from(["disk", "centred", "off-centre", "cloud"]))
+    if kind == "disk":
+        radius = scale * draw(st.floats(0.3, 1.0))
+        mu = UniformDisk(draw(AMPLITUDES), radius)
+        return lattice_partition(mu, radius / draw(st.floats(2.5, 12.0))), size
+    if kind != "cloud":
+        beta = (3.0 / scale) ** 2 * draw(st.floats(1.0, 4.0))
+        centre = 0j
+        if kind == "off-centre":
+            centre = 0.25 * scale * complex(draw(st.floats(-1.0, 1.0)),
+                                            draw(st.floats(-1.0, 1.0)))
+        mu = GaussianDensity(draw(AMPLITUDES), beta, center=centre)
+        r = mu.effective_radius(1e-18) / draw(st.floats(3.0, 10.0))
+        return lattice_partition(mu, r), size
+    r = scale / 8.0
+    bases = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)),
+                          min_size=8, max_size=12, unique=True))
+    points = []
+    for a, b in bases:
+        turns = draw(st.sets(st.integers(0, 3), min_size=2))
+        for q in sorted(turns):
+            i, j = [(a, b), (-b, a), (-a, -b), (b, -a)][q]
+            points.append((complex(i * r, j * r), draw(AMPLITUDES)))
+    if draw(st.booleans()):
+        points.append((0j, draw(AMPLITUDES)))
+    return lattice_partition(PointMasses(tuple(points)), r), size
+
+
+@st.composite
+def symmetric_symbols(draw):
+    """(symbol, side): a disk or a centred Gaussian and a lattice side."""
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.2, 3.0))
+        return (UniformDisk(draw(AMPLITUDES), radius),
+                radius / draw(st.floats(2.0, 40.0)))
+    mu = GaussianDensity(draw(AMPLITUDES), draw(st.floats(0.5, 50.0)))
+    return mu, mu.effective_radius(1e-18) / draw(st.floats(2.0, 40.0))
+
+
+class TestQuarterFold:
+    """Cells folded by the lattice's quarter turns into phase classes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(case=folded_cases())
+    def test_matches_dense_sum(self, case):
+        part, size = case
+        nodes, _, _ = _quarter_fold(part)
+        assert nodes.size < len(part.cells)
+        with pytest.MonkeyPatch.context() as patch:
+            # the fold does not depend on the cell count that pays for it
+            patch.setattr(lattice, "_FOLD_MIN_CELLS", 1)
+            op = lattice_operator(part, size, PARAMS)
+        ref = long_double_pairing(part.cells[:, 0], part.cells[:, 1], size)
+        assert np.max(np.abs(op.entries - ref)) <= 1e-15 * np.linalg.norm(ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(case=symmetric_symbols())
+    def test_symmetric_masses_leave_class_zero(self, case):
+        mu, r = case
+        part = lattice_partition(mu, r)
+        mass = {(round(c.real / r), round(c.imag / r)): w
+                for c, w in part.cells}
+        assert all(mass[(-j, i)] == w for (i, j), w in mass.items())
+        nodes, classes, weights = _quarter_fold(part)
+        assert not classes[1:].any()
+        assert 4 * nodes.size - 3 == len(part.cells)
+        assert weights.sum() == pytest.approx(
+            np.abs(part.cells[:, 1]).sum(), rel=1e-13)
+
+    def test_small_partition_paired_as_it_is(self):
+        part = lattice_partition(UniformDisk(1.0, 1.0), 1.0)
+        assert len(part.cells) < _FOLD_MIN_CELLS
+        direct = build_from_point_masses(PointMasses(part.cells), 32, PARAMS)
+        assert np.array_equal(lattice_operator(part, 32, PARAMS).entries,
+                              direct.entries)
 
 
 class TestRankOneRep:

@@ -308,3 +308,91 @@ class TestDiskCellArea:
     def test_off_center(self):
         assert disk_cell_area(0, 2, 0, 2, 0.5, cx=1.0, cy=1.0) == pytest.approx(
             math.pi * 0.25, rel=1e-14)
+
+    @staticmethod
+    def boundary_cells(radius, r):
+        """Lattice indices of the cells of side r the circle crosses."""
+        reach = int(radius / r) + 2
+        cells = []
+        for i in range(-reach, reach + 1):
+            for j in range(-reach, reach + 1):
+                near = math.hypot(max(abs(i) - 0.5, 0.0) * r,
+                                  max(abs(j) - 0.5, 0.0) * r)
+                far = math.hypot((abs(i) + 0.5) * r, (abs(j) + 0.5) * r)
+                if near < radius < far:
+                    cells.append((i, j))
+        return cells
+
+    @pytest.mark.parametrize("r", [1.0 / 16.0, 1.0 / 64.0])
+    @pytest.mark.parametrize("radius", [0.6, 1.0, 1.85])
+    def test_boundary_cells_against_mpmath(self, radius, r):
+        # the clipped chord length integrated piece by piece at 40 digits,
+        # not the corner inclusion-exclusion of the code under test
+        cells = self.boundary_cells(radius, r)
+        assert len(cells) > 30
+        worst = 0.0
+        for i, j in cells:
+            x0, x1, y0, y1 = ((i - 0.5) * r, (i + 0.5) * r,
+                              (j - 0.5) * r, (j + 0.5) * r)
+            got = disk_cell_area(x0, x1, y0, y1, radius)
+            worst = max(worst, abs(got - float(mp_cell_area(x0, x1, y0, y1,
+                                                            radius))))
+        assert worst <= 1e-14 * radius * radius
+
+    @pytest.mark.parametrize("radius, r", [(1.85, 1.0 / 64.0),
+                                           (1.0, 1.0 / 16.0), (0.6, 0.25)])
+    def test_square_symmetries_bitwise(self, radius, r):
+        for i, j in self.boundary_cells(radius, r):
+            x, y = ((i - 0.5) * r, (i + 0.5) * r), ((j - 0.5) * r,
+                                                     (j + 0.5) * r)
+            flips = [(x, y), ((-x[1], -x[0]), y), (x, (-y[1], -y[0])),
+                     ((-x[1], -x[0]), (-y[1], -y[0]))]
+            images = flips + [(v, u) for u, v in flips]
+            values = {disk_cell_area(*u, *v, radius) for u, v in images}
+            assert len(values) == 1, (i, j, values)
+
+    def test_rectangle_symmetries_bitwise(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            x0, x1 = sorted(rng.uniform(-1.3, 1.3, 2).tolist())
+            y0, y1 = sorted(rng.uniform(-1.3, 1.3, 2).tolist())
+            flips = [(x0, x1, y0, y1), (-x1, -x0, y0, y1),
+                     (x0, x1, -y1, -y0), (-x1, -x0, -y1, -y0)]
+            images = flips + [(c, d, a, b) for a, b, c, d in flips]
+            assert len({disk_cell_area(*box, 1.1) for box in images}) == 1
+
+
+def mp_cell_area(x0, x1, y0, y1, radius, dps=40):
+    """Area of [x0, x1] x [y0, y1] within the centred disk: the chord
+    length min(y1, s) - max(y0, -s), s = sqrt(R^2 - x^2), integrated in
+    closed form between the x where it changes formula."""
+    with mpmath.workdps(dps):
+        R = mpmath.mpf(radius)
+        x0, x1, y0, y1 = (mpmath.mpf(v) for v in (x0, x1, y0, y1))
+
+        def chord(x):
+            return mpmath.sqrt(R * R - x * x)
+
+        def integral(x):  # of chord(x)
+            return (x * chord(x) + R * R * mpmath.asin(x / R)) / 2
+
+        cuts = {x0, x1}
+        for y in (y0, y1):
+            if abs(y) < R:
+                cuts.update({-chord(y), chord(y)})
+        cuts.update({-R, R})
+        cuts = sorted(c for c in cuts if x0 <= c <= x1)
+        area = mpmath.mpf(0)
+        for u, v in zip(cuts, cuts[1:]):
+            mid = (u + v) / 2
+            if abs(mid) >= R:
+                continue
+            s = chord(mid)
+            top, bottom = min(y1, s), max(y0, -s)
+            if top <= bottom:
+                continue
+            area += ((integral(v) - integral(u)) if top == s
+                     else y1 * (v - u))
+            area -= (-(integral(v) - integral(u)) if bottom == -s
+                     else y0 * (v - u))
+        return area

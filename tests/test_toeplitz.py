@@ -727,6 +727,26 @@ class TestChunkedPairing:
         ref = dense_pairing(nodes, c, 32, bilinear)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("count", [0, 3, 10, 23])
+    @pytest.mark.parametrize("size", [13, 32])
+    def test_phase_class_chunk_boundaries(self, monkeypatch, count, size):
+        # five nodes a block at 32 rows, ten at 16 (13 padded to 16)
+        monkeypatch.setattr(toeplitz, "_PAIRING_CHUNK_BYTES", 16 * 32 * 5)
+        rng = np.random.default_rng(count)
+        nodes = 0.2 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+        classes = (rng.normal(size=(4, count))
+                   + 1j * rng.normal(size=(4, count)))
+        classes[2] = 0.0  # a dead class is skipped
+        got = _pairing_matrix(nodes, classes, size, PARAMS.alpha,
+                              mass=np.abs(classes).sum(axis=0))
+        n = np.arange(size)
+        rho = (n[None, :] - n[:, None]) % 4
+        ref = sum(np.where(rho == k, dense_pairing(nodes, classes[k], size),
+                           0.0) for k in range(4))
+        assert np.max(np.abs(got - ref)) <= 1e-15 * max(
+            np.linalg.norm(ref), 1e-300)
+        assert not got[rho == 2].any()
+
     def test_lattice_memory_stays_bounded(self):
         # about 1.1e5 cells: one unchunked basis matrix alone takes 110 MiB
         part = lattice_partition(GaussianDensity(1.0, 3.0), 1.0 / 64.0)
