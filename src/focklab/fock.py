@@ -1,4 +1,4 @@
-"""Fock-space primitives: parameters, closed-form kernels, norms.
+"""Fock-space primitives: parameters, kernel grids, weighted norms.
 
 The weighted space carries the Gaussian weight e^{-alpha |z|^2 / 2} inside
 the L^p integrand and the probability normalization pulls a factor
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridExtentError
-from .numerics import (PolarGrid, log_basis_coeff, node_count, polar_grid,
-                       real_fsum)
+from .numerics import PolarGrid, node_count, polar_grid, real_fsum
 
 # In u = sqrt(alpha)(w - c) a unit kernel's weighted modulus is e^{-|u|^2/2};
 # past |u| = 8.5 the widest integrand (p = 1) keeps e^{-36}, 2e-16 of its mass
@@ -112,42 +111,6 @@ def norm(weighted_logs: np.ndarray, p: float, params: FockParams,
     total = real_fsum(scaled)
     log_norm = (ref + math.log(p * params.alpha / (2.0 * math.pi) * total)) / p
     return math.exp(log_norm)
-
-
-def basis_norm_exact(n: int, p: float, params: FockParams) -> float:
-    """Closed-form weighted p-norm of the normalized monomial e_n."""
-    p = _check_exponent(p)
-    alpha = params.alpha
-    if p == math.inf:
-        # peak of t^n e^{-alpha t^2 / 2} at t = sqrt(n / alpha)
-        log_peak = log_basis_coeff(n, alpha) + (
-            0.5 * n * (math.log(n / alpha) - 1.0) if n > 0 else 0.0)
-        return math.exp(log_peak)
-    log_val = (math.log(p * alpha) + 0.5 * p * (n * math.log(alpha)
-                                                - math.lgamma(n + 1.0))
-               + math.lgamma(0.5 * n * p + 1.0) - math.log(2.0)
-               - (0.5 * n * p + 1.0) * math.log(0.5 * p * alpha))
-    return math.exp(log_val / p)
-
-
-def weighted_kernel(z: complex, w, alpha: float) -> np.ndarray:
-    """Unit-norm kernel times the weight, k_z(w) e^{-alpha |w|^2 / 2}.
-
-    In closed form exp(-alpha |w - z|^2 / 2 + i alpha Im(w conj(z))), which
-    underflows to zero far from z instead of overflowing.
-    """
-    z = complex(z)
-    w = np.asarray(w, dtype=complex)
-    return np.exp(-0.5 * alpha * np.abs(w - z) ** 2
-                  + 1j * alpha * (w * z.conjugate()).imag)
-
-
-def kernel_distance_hilbert(z: complex, w: complex, alpha: float) -> float:
-    """Closed-form ||k_z - k_w|| in the Hilbert space."""
-    zc, wc = complex(z), complex(w)
-    ip = np.exp(-0.5 * alpha * (abs(zc) ** 2 + abs(wc) ** 2)
-                + alpha * wc * np.conj(zc))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * float(np.real(ip))))
 
 
 def kernel_continuity_probe(z0: complex, deltas, p: float,

@@ -18,7 +18,7 @@ from .fock import FockParams, conjugate_exponent, kernel_grid, norm
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       UniformDisk, berezin_lr_norm, disk_cell_area,
                       require_positive, total_variation)
-from .numerics import check_budget, complex_fsum, erf, real_fsum
+from .numerics import check_budget, erf, real_fsum
 from .toeplitz import (TruncatedOperator, _pairing_matrix, build_from_measure,
                        schatten_norm, singular_values)
 
@@ -43,15 +43,14 @@ _FOLD_MIN_CELLS = 128
 class LatticePartition:
     """Cell masses of a measure on the square lattice of side r.
 
-    ``cells`` holds one (center, mass) row per cell, ring-major: increasing
-    Chebyshev ring, then counterclockwise within the ring.  Cells whose mass
-    fell below the drop threshold are accounted in dropped_mass rather than
-    listed.
+    ``cells`` holds one (center, mass) row per cell, in the order the
+    partition's builder emits them.  Cells of mass under 1e-15 |mu|(C) are
+    left out, so over S squares the listed masses sum to mu(C) within
+    S x 1e-15 |mu|(C).
     """
 
     r: float
     cells: np.ndarray
-    dropped_mass: complex = 0j
 
 
 def _cell_index(x, y, r: float):
@@ -159,7 +158,9 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     lattice of side r.
 
     A disk's or a Gaussian's squares are checked against the budget before
-    any is visited.
+    any is visited.  Cells come in builder order, row-major over the squares
+    (_block) or, for point masses, by index (np.unique); those under
+    1e-15 |mu|(C) are left out, as LatticePartition bounds.
     """
     if not r > 0.0:
         raise ValueError("lattice side must be positive")
@@ -174,17 +175,12 @@ def lattice_partition(mu: MeasureSymbol, r: float) -> LatticePartition:
     else:
         raise FocklabError("lattice partitions take point masses, uniform "
                            "disks and Gaussians")
-    dropped = np.abs(masses) < _CELL_DROP * total_variation(mu)
-    i, j, kept = i[~dropped], j[~dropped], masses[~dropped]
-    # ring-major: Chebyshev ring, then counterclockwise angle in [0, 2 pi)
-    angle = np.arctan2(j, i) % (2.0 * math.pi)
-    order = np.lexsort((j, i, angle, np.maximum(np.abs(i), np.abs(j))))
-    centers = np.empty(order.size, dtype=complex)
-    centers.real, centers.imag = i[order] * r, j[order] * r
-    cells = np.column_stack((centers, kept[order]))
+    kept = np.abs(masses) >= _CELL_DROP * total_variation(mu)
+    centers = np.empty(np.count_nonzero(kept), dtype=complex)
+    centers.real, centers.imag = i[kept] * r, j[kept] * r
+    cells = np.column_stack((centers, masses[kept]))
     cells.setflags(write=False)
-    return LatticePartition(r, cells,
-                            dropped_mass=complex_fsum(masses[dropped]))
+    return LatticePartition(r, cells)
 
 
 def _quarter_fold(part: LatticePartition):

@@ -344,13 +344,6 @@ def berezin_lr_norm(mu: MeasureSymbol, r: float, params: FockParams) -> float:
     return real_fsum(weights * mags ** r) ** (1.0 / r)
 
 
-def berezin_lr_constant(alpha: float, r: float) -> float:
-    """Sharp-order constant with ||berezin(mu)||_r <= C_r |mu|(C)."""
-    if r == math.inf:
-        return alpha / math.pi
-    return alpha / math.pi * (math.pi / (r * alpha)) ** (1.0 / r)
-
-
 def disk_cell_area(x0: float, x1: float, y0: float, y1: float,
                    radius: float, cx: float = 0.0, cy: float = 0.0) -> float:
     """Area of [x0,x1] x [y0,y1] intersected with a disk, in closed form.

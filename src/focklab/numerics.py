@@ -73,20 +73,6 @@ def erf(x):
     return _elementwise(math.erf, x)
 
 
-def log_basis_coeff(n, alpha: float):
-    """Log magnitude of the monomial basis normalization sqrt(alpha^n / n!).
-
-    Returns (n ln alpha - ln n!) / 2; vectorized over n.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"weight parameter must be positive, got {alpha!r}")
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("basis index must be nonnegative")
-    out = 0.5 * (n * math.log(alpha) - log_factorial(n))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def log_peak_offset(n):
     """s_n = ln(n^n e^{-n} / n!) for integers n >= 0, elementwise.
 
@@ -335,7 +321,9 @@ def polar_grid(cutoff_radius: float, radial_nodes: int, angular_nodes: int,
                      cutoff_radius=float(cutoff_radius))
 
 
-def _samples(f, grid: PolarGrid) -> np.ndarray:
+def lr_norm(f, grid: PolarGrid, r: float) -> float:
+    """L^r(dA) norm over the grid of ``f``, a callable on ``grid.nodes`` or
+    samples in node order; r = inf takes the node supremum."""
     values = f(grid.nodes) if callable(f) else np.asarray(f)
     values = np.broadcast_to(np.asarray(values, dtype=complex), grid.nodes.shape)
     finite = np.isfinite(values.real) & np.isfinite(values.imag)
@@ -343,23 +331,7 @@ def _samples(f, grid: PolarGrid) -> np.ndarray:
         i = int(np.argmin(finite))
         raise QuadratureError(
             f"non-finite sample {values[i]!r} at node {grid.nodes[i]!r}")
-    return values
-
-
-def integrate_plane(f, grid: PolarGrid) -> complex:
-    """Area integral of ``f`` over the grid's disk.
-
-    ``f`` is either a callable applied to ``grid.nodes`` or a sample array
-    in node order.  The reduction is an exact compensated sum in fixed node
-    order, so the result does not depend on how samples were produced.
-    """
-    values = _samples(f, grid)
-    return complex_fsum(grid.weights * values)
-
-
-def lr_norm(f, grid: PolarGrid, r: float) -> float:
-    """L^r(dA) norm of ``f`` over the grid; r = inf takes the node supremum."""
-    mags = np.abs(_samples(f, grid))
+    mags = np.abs(values)
     if r == math.inf:
         return float(mags.max()) if mags.size else 0.0
     if not r >= 1.0:

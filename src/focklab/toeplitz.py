@@ -530,22 +530,6 @@ def basis_tail_mass(size: int, alpha: float, z) -> np.ndarray:
     return regularized_gamma(size, alpha * np.abs(np.asarray(z)) ** 2)[0]
 
 
-def berezin_operator(op: TruncatedOperator, z):
-    """Berezin transform of the truncated operator at z (scalar or array).
-
-    Valid only while the normalized kernel at z is representable within the
-    truncation; the basis tail past N must stay below 1e-12.
-    """
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    tail = basis_tail_mass(op.truncation, op.params.alpha, zs).max(initial=0.0)
-    _refuse_tail(float(tail), op.truncation, f" at the farthest of {zs.size} "
-                 "points", "enlarge N or shrink |z|")
-    e = basis_matrix(zs, op.truncation, op.params.alpha)
-    out = np.sum(e * (op.entries @ np.conj(e)), axis=0)
-    return complex(out[0]) if scalar else out
-
-
 def trace(op) -> complex:
     """Sum of diagonal entries, compensated."""
     return complex_fsum(np.diagonal(op.entries))

@@ -7,11 +7,39 @@ import pytest
 
 from focklab import fock, numerics
 from focklab.errors import GridExtentError, ResourceError
-from focklab.fock import (FockParams, basis_norm_exact, conjugate_exponent,
-                          kernel_continuity_probe, kernel_distance_hilbert,
-                          kernel_grid, norm, weighted_kernel)
-from focklab.numerics import (integrate_plane, log_basis_coeff, polar_grid,
+from focklab.fock import (FockParams, conjugate_exponent,
+                          kernel_continuity_probe, kernel_grid, norm)
+from focklab.numerics import (complex_fsum, log_factorial, polar_grid,
                               tail_radius)
+
+
+def log_basis_coeff(n, alpha):
+    """ln sqrt(alpha^n / n!), the log of e_n's normalization."""
+    return 0.5 * (n * math.log(alpha) - log_factorial(n))
+
+
+def basis_norm_exact(n, p, params):
+    """Closed-form weighted p-norm of the normalized monomial e_n."""
+    alpha = params.alpha
+    if p == math.inf:
+        # peak of t^n e^{-alpha t^2 / 2} at t = sqrt(n / alpha)
+        log_peak = log_basis_coeff(n, alpha) + (
+            0.5 * n * (math.log(n / alpha) - 1.0) if n > 0 else 0.0)
+        return math.exp(log_peak)
+    log_val = (math.log(p * alpha) + 0.5 * p * (n * math.log(alpha)
+                                                - math.lgamma(n + 1.0))
+               + math.lgamma(0.5 * n * p + 1.0) - math.log(2.0)
+               - (0.5 * n * p + 1.0) * math.log(0.5 * p * alpha))
+    return math.exp(log_val / p)
+
+
+def weighted_kernel(z, w, alpha):
+    """Unit-norm kernel times the weight, k_z(w) e^{-alpha |w|^2 / 2}, in
+    closed form exp(-alpha |w - z|^2 / 2 + i alpha Im(w conj(z)))."""
+    z = complex(z)
+    w = np.asarray(w, dtype=complex)
+    return np.exp(-0.5 * alpha * np.abs(w - z) ** 2
+                  + 1j * alpha * (w * z.conjugate()).imag)
 
 
 def poly_grid(params, degree):
@@ -185,8 +213,8 @@ class TestReproducingProperty:
             samples = np.polyval(poly, grid.nodes) * weight
             for z in (0.3, -1 + 0.5j, 2 + 2j, 3.0):
                 kz = weighted_kernel(z, grid.nodes, alpha)
-                via_pairing = (alpha / math.pi) * integrate_plane(
-                    samples * np.conj(kz), grid)
+                via_pairing = (alpha / math.pi) * complex_fsum(
+                    grid.weights * (samples * np.conj(kz)))
                 expected = np.polyval(poly, z) * math.exp(
                     -0.5 * alpha * abs(z) ** 2)
                 assert abs(via_pairing - expected) <= 1e-9 * fnorm
@@ -200,11 +228,11 @@ class TestContinuityProbe:
         out = kernel_continuity_probe(1.0, deltas, 2.0, params)
         assert all(a > b for a, b in zip(out, out[1:]))
         for d, val in zip(deltas, out):
-            expected = kernel_distance_hilbert(1.0 + d, 1.0, params.alpha)
+            # ||k_{1+d} - k_1||^2 = 2 - 2 Re<k_{1+d}, k_1>
+            #                     = 2 - 2 e^{-alpha d^2 / 2}
+            expected = math.sqrt(2.0 - 2.0 * math.exp(-0.5 * params.alpha
+                                                      * d * d))
             assert val == pytest.approx(expected, abs=1e-8)
-        # explicit closed form at the smallest offset
-        target = math.sqrt(2.0 - 2.0 * math.exp(-0.5 * 0.01 ** 2))
-        assert out[-1] == pytest.approx(target, abs=1e-8)
 
     def test_probe_other_exponents_decrease(self):
         params = FockParams(alpha=1.0)

@@ -12,10 +12,10 @@ from focklab import lattice
 from focklab.cli import main
 from focklab.errors import FocklabError, PositivityError
 from focklab.fock import FockParams, conjugate_exponent, kernel_grid, norm
-from focklab.lattice import (_FOLD_MIN_CELLS, _quarter_fold,
-                             convergence_study, lattice_nuclear_bound,
-                             lattice_operator, lattice_partition,
-                             rigidity_experiment)
+from focklab.lattice import (_FOLD_MIN_CELLS, LatticePartition,
+                             _quarter_fold, convergence_study,
+                             lattice_nuclear_bound, lattice_operator,
+                             lattice_partition, rigidity_experiment)
 from focklab.measure import (Density, GaussianDensity, PointMasses,
                              UniformDisk, berezin_measure, disk_cell_area,
                              total_mass, total_variation)
@@ -42,7 +42,6 @@ class TestPartition:
     def test_origin_point_mass(self):
         part = lattice_partition(delta(0j), 1.0)
         assert part.cells.tolist() == [[0j, 1.0 + 0j]]
-        assert part.dropped_mass == 0j
 
     def test_half_open_boundary_assignment(self):
         part = lattice_partition(delta(0.5), 1.0)
@@ -61,13 +60,6 @@ class TestPartition:
         assert len(part.cells) == 2
         assert part.cells[0][1] == pytest.approx(3.0)
 
-    def test_enumeration_ring_major(self):
-        part = lattice_partition(UniformDisk(1.0, 1.0), 0.5)
-        centers = part.cells[:, 0]
-        rings = np.maximum(np.abs(centers.real), np.abs(centers.imag))
-        assert np.all(np.diff(rings) >= -1e-12)
-        assert centers[0] == 0j
-
     def test_mass_conservation_across_measures(self):
         corpus = [
             delta(0.7 - 0.2j, 1.5),
@@ -80,7 +72,7 @@ class TestPartition:
             ceiling = total_variation(mu)
             for r in (1.0, 0.5, 0.25):
                 part = lattice_partition(mu, r)
-                got = sum(w for _, w in part.cells) + part.dropped_mass
+                got = sum(w for _, w in part.cells)
                 assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
                 total_abs = math.fsum(abs(w) for _, w in part.cells)
                 assert total_abs <= ceiling + 1e-10, (mu, r)
@@ -104,8 +96,7 @@ class TestPartition:
 def scalar_partition(mu, r):
     """Cell by cell, in Python scalars: the reference for lattice_partition.
 
-    Returns the ring-major ((i, j), mass) list of cells the drop threshold
-    keeps.
+    Returns the ((i, j), mass) list of cells the drop threshold keeps.
     """
     def index(x, y):
         return math.floor(x / r + 0.5), math.floor(y / r + 0.5)
@@ -137,13 +128,7 @@ def scalar_partition(mu, r):
                 if area > 0.0:
                     indexed[(i, j)] = mu.amplitude * area
     floor_mass = 1e-15 * total_variation(mu)
-    kept = [(ij, w) for ij, w in indexed.items() if abs(w) >= floor_mass]
-
-    def ring_major(item):
-        (i, j), _ = item
-        return (max(abs(i), abs(j)), math.atan2(j, i) % (2.0 * math.pi), i, j)
-
-    return sorted(kept, key=ring_major)
+    return [(ij, w) for ij, w in indexed.items() if abs(w) >= floor_mass]
 
 
 EQUIVALENCE_CORPUS = [
@@ -172,13 +157,15 @@ class TestVectorisedPartition:
 
     @pytest.mark.parametrize("mu, r", EQUIVALENCE_CORPUS)
     def test_same_cells_same_order(self, mu, r):
-        expected = scalar_partition(mu, r)
+        # cells matched by centre: they come in the order of their builder
+        expected = {complex(i * r, j * r): w
+                    for (i, j), w in scalar_partition(mu, r)}
         part = lattice_partition(mu, r)
         centers = part.cells[:, 0]
-        assert centers.tolist() == [complex(i * r, j * r)
-                                    for (i, j), _ in expected]
+        assert len(centers) == len(expected)
+        assert set(centers.tolist()) == expected.keys()
         got = part.cells[:, 1]
-        ref = np.array([w for _, w in expected])
+        ref = np.array([expected[c] for c in centers.tolist()])
         tol = 1e-12 * np.abs(ref)
         if isinstance(mu, UniformDisk):
             # the scalar loop takes an interior cell's area from corner
@@ -321,6 +308,53 @@ class TestQuarterFold:
         direct = build_from_point_masses(PointMasses(part.cells), 32, PARAMS)
         assert np.array_equal(lattice_operator(part, 32, PARAMS).entries,
                               direct.entries)
+
+
+CLOUD = PointMasses(tuple(
+    (complex(x, y), complex(u, v))
+    for x, y, u, v in np.random.default_rng(3).uniform(-1.5, 1.5, (12, 4))))
+
+
+class TestCellOrder:
+    """Cells come in the order of their builder, which the operator does
+    not see: folded it is the same to the bit, unfolded the pairing sums
+    the cells in another order."""
+
+    @staticmethod
+    def permuted_operators(part, size=64):
+        rng = np.random.default_rng(0)
+        orders = [np.arange(len(part.cells))[::-1]]
+        orders += [rng.permutation(len(part.cells)) for _ in range(2)]
+        return lattice_operator(part, size, PARAMS), [
+            lattice_operator(LatticePartition(part.r, part.cells[order]),
+                             size, PARAMS) for order in orders]
+
+    @pytest.mark.parametrize("mu, r", [
+        (UniformDisk(1.0, 1.0), 1.0 / 8.0),
+        (UniformDisk(1.0, 1.0), 1.0 / 16.0),
+        (GaussianDensity(1.0, 4.0), 1.0 / 4.0),
+        (GaussianDensity(1.0, 3.0, center=0.3 + 0.2j), 1.0 / 32.0),
+        (GaussianDensity(0.5 - 1.0j, 3.0, center=0.3 + 0.2j), 0.5)])
+    def test_folded_bitwise(self, mu, r):
+        part = lattice_partition(mu, r)
+        assert len(part.cells) >= _FOLD_MIN_CELLS
+        assert _quarter_fold(part)[0].size < len(part.cells)
+        op, permuted = self.permuted_operators(part)
+        for each in permuted:
+            assert np.array_equal(each.entries, op.entries)
+
+    @pytest.mark.parametrize("mu, r", [
+        (UniformDisk(1.0, 1.0), 0.25),
+        (UniformDisk(1.0, 1.0), 0.5),
+        (GaussianDensity(1.0, 4.0), 1.0),
+        (CLOUD, 0.25)])
+    def test_unfolded_within_rounding(self, mu, r):
+        part = lattice_partition(mu, r)
+        assert len(part.cells) < _FOLD_MIN_CELLS
+        op, permuted = self.permuted_operators(part)
+        scale = np.linalg.norm(op.entries)
+        for each in permuted:
+            assert np.max(np.abs(each.entries - op.entries)) <= 1e-15 * scale
 
 
 class TestRankOneRep:

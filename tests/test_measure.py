@@ -8,16 +8,24 @@ from focklab import measure
 from focklab.errors import GridExtentError, PositivityError, ResourceError
 from focklab.fock import FockParams
 from focklab.measure import (Density, GaussianDensity, PointMasses,
-                             UniformDisk, berezin_grid, berezin_lr_constant,
-                             berezin_lr_norm, berezin_measure, disk_cell_area,
-                             is_positive, require_positive, total_mass,
-                             total_variation)
+                             UniformDisk, berezin_grid, berezin_lr_norm,
+                             berezin_measure, disk_cell_area, is_positive,
+                             require_positive, total_mass, total_variation)
 
 PARAMS = FockParams(alpha=1.0)
 
 
 def delta(w, weight=1.0):
     return PointMasses(((complex(w), complex(weight)),))
+
+
+def berezin_lr_constant(alpha, r):
+    """Sharp-order constant with ||berezin(mu)||_r <= C_r |mu|(C): the
+    transform of a unit point mass, (alpha/pi) e^{-alpha|z - w|^2}, has
+    L^r norm (alpha/pi) (pi / (r alpha))^{1/r}."""
+    if r == math.inf:
+        return alpha / math.pi
+    return alpha / math.pi * (math.pi / (r * alpha)) ** (1.0 / r)
 
 
 class TestVariants:

@@ -7,11 +7,10 @@ from scipy.special import gammaincc, gammainccinv
 
 from focklab import numerics
 from focklab.errors import QuadratureError, ResourceError
-from focklab.numerics import (check_budget, erf, gauss_legendre,
-                              integrate_plane, log_basis_coeff,
-                              log_factorial, log_poisson, lr_norm,
-                              min_angular_nodes, node_count, polar_grid,
-                              regularized_gamma, tail_radius)
+from focklab.numerics import (check_budget, complex_fsum, erf,
+                              gauss_legendre, log_factorial, log_poisson,
+                              lr_norm, min_angular_nodes, node_count,
+                              polar_grid, regularized_gamma, tail_radius)
 from focklab.toeplitz import basis_tail_mass
 
 mpmath.mp.dps = 50
@@ -33,26 +32,9 @@ def relative_error(got, exact):
     return float(abs(mpmath.mpf(got) - exact) / exact)
 
 
-class TestLogBasisCoeff:
-
-    def test_anchors(self):
-        assert log_basis_coeff(0, 2.7) == 0.0
-        assert log_basis_coeff(1, 1.0) == 0.0
-        expected = 0.5 * (4 * math.log(2.0) - math.log(24.0))
-        assert log_basis_coeff(4, 2.0) == pytest.approx(expected, rel=1e-13)
-        assert expected == pytest.approx(-0.20273, abs=5e-6)
-
-    def test_vectorized(self):
-        n = np.arange(6)
-        out = log_basis_coeff(n, 0.5)
-        assert out.shape == (6,)
-        assert out[3] == pytest.approx(log_basis_coeff(3, 0.5))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_basis_coeff(2, 0.0)
-        with pytest.raises(ValueError):
-            log_basis_coeff(-1, 1.0)
+def plane_integral(values, grid):
+    """Area integral over the grid's disk of samples in node order."""
+    return complex_fsum(grid.weights * values)
 
 
 class TestPolarGrid:
@@ -66,18 +48,18 @@ class TestPolarGrid:
 
     def test_constant_integrates_to_area(self):
         grid = polar_grid(3.0, 40, 16)
-        val = integrate_plane(lambda z: np.ones_like(z), grid)
+        val = plane_integral(np.ones_like(grid.nodes), grid)
         assert val.real == pytest.approx(9.0 * math.pi, rel=1e-12)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_integrates_to_pi_over_alpha(self):
         grid = polar_grid(8.0, 80, 32)
-        val = integrate_plane(lambda z: np.exp(-np.abs(z) ** 2), grid)
+        val = plane_integral(np.exp(-np.abs(grid.nodes) ** 2), grid)
         assert val.real == pytest.approx(math.pi, rel=1e-10)
 
     def test_odd_monomial_vanishes(self):
         grid = polar_grid(2.0, 30, 16)
-        val = integrate_plane(lambda z: z, grid)
+        val = plane_integral(grid.nodes, grid)
         assert abs(val) < 1e-12
 
     def test_angular_selection(self):
@@ -88,8 +70,8 @@ class TestPolarGrid:
         budget = 1e-12 * 1.0 * grid.cutoff_radius ** 2
         for j in range(1, grid.n_angular // 2):
             phase = np.exp(1j * j * np.angle(grid.nodes))
-            assert abs(integrate_plane(profile * phase, grid)) < budget
-            assert abs(integrate_plane(profile * np.conj(phase), grid)) < budget
+            assert abs(plane_integral(profile * phase, grid)) < budget
+            assert abs(plane_integral(profile * np.conj(phase), grid)) < budget
 
     def test_min_angular_nodes(self):
         assert min_angular_nodes(15) == 32
@@ -139,7 +121,7 @@ class TestPolarGrid:
         bad = np.ones_like(grid.nodes)
         bad[3] = np.nan
         with pytest.raises(QuadratureError, match="non-finite"):
-            integrate_plane(bad, grid)
+            lr_norm(bad, grid, 1.0)
 
 
 FIXED_BITS = 256
@@ -214,9 +196,9 @@ class TestBasisNormalization:
         log_t = np.log(t)
         for n in range(max_n + 1):
             # |e_n(z)|^2 e^{-alpha|z|^2} assembled in log scale
-            samples = np.exp(2.0 * log_basis_coeff(n, alpha)
+            samples = np.exp(n * math.log(alpha) - log_factorial(n)
                              + 2.0 * n * log_t - alpha * t ** 2)
-            val = integrate_plane(samples, grid).real
+            val = plane_integral(samples, grid).real
             assert val == pytest.approx(math.pi / alpha, rel=1e-9), n
 
 
