@@ -11,7 +11,6 @@ configs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 # argparse's messages import locale on first use; importing it here keeps
 # that cost out of the report's compute time
@@ -19,7 +18,16 @@ import locale  # noqa: F401
 import math
 import random
 import sys
-from dataclasses import dataclass
+
+# hashlib loads OpenSSL (3.5 MiB, about 4 ms) to hash one small config; the
+# interpreter's built-in module gives the same digest without it
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 import numpy as np
 
@@ -201,18 +209,19 @@ def _output(obj, path: str) -> tuple:
     return tuple(_fields({} if obj is None else obj, path, table).values())
 
 
-@dataclass
 class RunConfig:
     """Validated, fully defaulted run configuration."""
 
-    alpha: float
-    truncation: int
-    measure: dict | None
-    exponents: tuple
-    r_values: tuple
-    tolerances: dict
-    output_format: str
-    output_path: str | None
+    __slots__ = ("alpha", "truncation", "measure", "exponents", "r_values",
+                 "tolerances", "output_format", "output_path")
+
+    def __init__(self, alpha: float, truncation: int, measure: dict | None,
+                 exponents: tuple, r_values: tuple, tolerances: dict,
+                 output_format: str, output_path: str | None):
+        self.alpha, self.truncation, self.measure = alpha, truncation, measure
+        self.exponents, self.r_values = exponents, r_values
+        self.tolerances = tolerances
+        self.output_format, self.output_path = output_format, output_path
 
     def normalized(self) -> dict:
         return {
@@ -234,7 +243,7 @@ class RunConfig:
         del payload["output"]
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _sha256(canonical.encode("utf-8")).hexdigest()
 
     def tolerance(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -536,7 +545,9 @@ def run_counterexample(config: RunConfig, seed):
         raise ConfigError(f"exponents: {exc}")
     data = full_report(params)
     ratios = (data["membership_f_terms"], data["membership_g_terms"])
-    worst = max(b / a for terms in ratios for a, b in zip(terms, terms[1:]))
+    # a term below the float range is 0.0; a zero after a zero has not grown
+    worst = max(b / a if a else (math.inf if b else 0.0)
+                for terms in ratios for a, b in zip(terms, terms[1:]))
     floor = params.b ** 2 / 3.0
     slowest = min(data["divergence_ratios"])
     checks = [_bounded(config, "pairing_identity",

@@ -10,7 +10,6 @@ and log-power intermediates make the advertised cancellations float-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +23,14 @@ _SQRT3 = math.sqrt(3.0)
 _MAX_INDEX_LOG2 = 1000.0
 
 
-@dataclass(frozen=True)
 class CounterexampleParams:
     """Exponent pair, growth base, term count, and weight parameter."""
 
-    p: float = 4.0 / 3.0
-    q: float = 4.0
-    b: float = 1.9
-    terms: int = 8
-    alpha: float = 1.0
+    __slots__ = ("p", "q", "b", "terms", "alpha")
 
-    def __post_init__(self):
+    def __init__(self, p: float = 4.0 / 3.0, q: float = 4.0, b: float = 1.9,
+                 terms: int = 8, alpha: float = 1.0):
+        self.p, self.q, self.b, self.terms, self.alpha = p, q, b, terms, alpha
         if not 1.0 < self.p < self.q < math.inf:
             raise ValueError("need 1 < p < q < inf")
         if not _SQRT3 < self.b < 2.0:

@@ -7,7 +7,6 @@ norms match the quadrature path digit for digit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +40,13 @@ def _check_exponent(p: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
 class FockParams:
     """Weight parameter alpha of the Gaussian weight e^{-alpha |z|^2}."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
+    def __init__(self, alpha: float):
+        self.alpha = alpha
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 

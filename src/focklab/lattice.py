@@ -9,7 +9,6 @@ masses certifying a nuclear-norm upper bound throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ _TURNED_BACK = np.array([1.0, -1j, -1.0, 1j])
 _FOLD_MIN_CELLS = 128
 
 
-@dataclass(frozen=True)
 class LatticePartition:
     """Cell masses of a measure on the square lattice of side r.
 
@@ -49,8 +47,10 @@ class LatticePartition:
     S x 1e-15 |mu|(C).
     """
 
-    r: float
-    cells: np.ndarray
+    __slots__ = ("r", "cells")
+
+    def __init__(self, r: float, cells: np.ndarray):
+        self.r, self.cells = r, cells
 
 
 def _cell_index(x, y, r: float):

@@ -8,7 +8,6 @@ heat-kernel smoothing
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,15 +31,13 @@ _TERM_BLOCK = 2 ** 17
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
 class PointMasses:
     """Finite atomic measure: sum of weight * delta_location."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        pts = tuple((complex(w), complex(c)) for w, c in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points: tuple):
+        self.points = tuple((complex(w), complex(c)) for w, c in points)
 
     @property
     def locations(self) -> np.ndarray:
@@ -51,7 +48,6 @@ class PointMasses:
         return np.array([c for _, c in self.points], dtype=complex)
 
 
-@dataclass(frozen=True)
 class Density:
     """Absolutely continuous measure func(w) dA(w) on |w - center| <= support_radius.
 
@@ -60,47 +56,40 @@ class Density:
     declaration (samples cannot prove positivity of a callable).
     """
 
-    func: Callable
-    support_radius: float
-    center: complex = 0j
-    positive: bool = False
+    __slots__ = ("func", "support_radius", "center", "positive")
 
-    def __post_init__(self):
-        if not 0.0 < self.support_radius < math.inf:
+    def __init__(self, func: Callable, support_radius: float,
+                 center: complex = 0j, positive: bool = False):
+        if not 0.0 < support_radius < math.inf:
             raise ValueError("support radius must be positive and finite")
-        object.__setattr__(self, "center", complex(self.center))
+        self.func, self.support_radius = func, support_radius
+        self.center, self.positive = complex(center), positive
 
 
-@dataclass(frozen=True)
 class UniformDisk:
     """Constant density amplitude * 1_{|w| <= radius} dA(w).
 
     Downstream code integrates it by closed-form geometry where it can.
     """
 
-    amplitude: complex
-    radius: float
+    __slots__ = ("amplitude", "radius")
 
-    def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
+    def __init__(self, amplitude: complex, radius: float):
+        if not 0.0 < radius < math.inf:
             raise ValueError("disk radius must be positive and finite")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "radius", float(self.radius))
+        self.amplitude, self.radius = complex(amplitude), float(radius)
 
 
-@dataclass(frozen=True)
 class GaussianDensity:
     """Gaussian density amplitude * e^{-beta |w - center|^2} dA(w)."""
 
-    amplitude: complex
-    beta: float
-    center: complex = 0j
+    __slots__ = ("amplitude", "beta", "center")
 
-    def __post_init__(self):
-        if not self.beta > 0.0:
+    def __init__(self, amplitude: complex, beta: float, center: complex = 0j):
+        if not beta > 0.0:
             raise ValueError("beta must be positive")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "center", complex(self.center))
+        self.amplitude, self.beta = complex(amplitude), beta
+        self.center = complex(center)
 
     def effective_radius(self, tol: float = _DROP) -> float:
         """Radius past which the remaining mass fraction drops below tol."""

@@ -11,7 +11,6 @@ cutoffs come from a closed-form bound on the Gamma tail, not its inverse.
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -261,7 +260,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate((w[:n // 2], w[::-1])))
 
 
-@dataclass(frozen=True)
 class PolarGrid:
     """Tensor quadrature grid: Gauss-Legendre radii times equispaced angles.
 
@@ -271,10 +269,10 @@ class PolarGrid:
     Both are built on first use, so a radial integral never pays for them.
     """
 
-    radii: np.ndarray
-    radial_weights: np.ndarray
-    angles: np.ndarray
-    cutoff_radius: float
+    def __init__(self, radii: np.ndarray, radial_weights: np.ndarray,
+                 angles: np.ndarray, cutoff_radius: float):
+        self.radii, self.radial_weights = radii, radial_weights
+        self.angles, self.cutoff_radius = angles, cutoff_radius
 
     @property
     def n_radial(self) -> int:

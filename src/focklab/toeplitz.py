@@ -8,7 +8,6 @@ m, so composition of operators is the matrix product in natural order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 # numpy loads its fft package on first attribute access; importing it here
@@ -40,7 +39,6 @@ _BLOCK_SPAN = 0.5 * math.log(_FLOAT_MAX)
 _PAIRING_CHUNK_BYTES = 4 * 2 ** 20
 
 
-@dataclass(frozen=True)
 class TruncatedOperator:
     """N x N matrix of an operator against the normalized monomial basis.
 
@@ -48,24 +46,26 @@ class TruncatedOperator:
     immutable once assembled; provenance records which builder produced them.
     """
 
-    entries: np.ndarray
-    truncation: int
-    params: FockParams
-    provenance: str = ""
+    __slots__ = ("entries", "truncation", "params", "provenance")
 
-    def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=complex)
+    def __init__(self, entries: np.ndarray, truncation: int,
+                 params: FockParams, provenance: str = ""):
+        entries = np.ascontiguousarray(entries, dtype=complex)
         entries.setflags(write=False)
-        if entries.shape != (self.truncation, self.truncation):
+        if entries.shape != (truncation, truncation):
             raise ValueError("entries must be truncation x truncation")
-        object.__setattr__(self, "entries", entries)
+        self.entries, self.truncation = entries, truncation
+        self.params, self.provenance = params, provenance
 
 
 class HankelMatrix(TruncatedOperator):
     """Complex symmetric (not Hermitian) N x N bilinear-pairing matrix."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, entries: np.ndarray, truncation: int,
+                 params: FockParams, provenance: str = ""):
+        super().__init__(entries, truncation, params, provenance)
         if not np.array_equal(self.entries, self.entries.T):
             raise ValueError("hankel entries must be symmetric")
 

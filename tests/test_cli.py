@@ -1,6 +1,7 @@
 """Command-line behavior: config validation, determinism, exit codes."""
 
 import errno
+import hashlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from focklab import cli
 from focklab.cli import (TRUNCATION_BUDGET, build_measure, main, parse_config,
                          render_csv, render_json)
-from focklab.errors import ConfigError, ResourceError
+from focklab.errors import ConfigError, FocklabError, ResourceError
 from focklab.fock import FockParams
 from focklab.measure import (Density, GaussianDensity, PointMasses,
                              UniformDisk, berezin_measure)
@@ -214,7 +215,8 @@ class TestParseConfig:
         assert isinstance(pm, PointMasses)
         disk = build_measure(parse_config(
             '{"measure": {"type": "uniform_disk", "radius": 2}}').measure)
-        assert disk == UniformDisk(1.0, 2.0)
+        assert type(disk) is UniformDisk
+        assert (disk.amplitude, disk.radius) == (1.0, 2.0)
         gauss = build_measure(parse_config(GAUSS).measure)
         assert isinstance(gauss, GaussianDensity)
 
@@ -312,6 +314,23 @@ class TestExitCodes:
                        '{"exponents": {"p": 4.0, "q": 1.3333333333333333}}')
         assert main(["counterexample", "--config", config]) == 2
         assert "exponents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponents, code", [
+        # every g term underflows to 0.0, so none of them grows
+        ({"p": 1.9, "q": 1e300}, 0),
+        # every f term underflows; the g terms first grow 36.9-fold
+        ({"p": 1.0000001, "q": 100}, 1),
+    ])
+    def test_underflowing_counterexample_terms(self, tmp_path, capsys,
+                                               exponents, code):
+        # ended in a ZeroDivisionError traceback: a term ratio over 0.0
+        config = write(tmp_path, "e.json",
+                       json.dumps({"exponents": exponents}))
+        assert main(["counterexample", "--config", config]) == code
+        captured = capsys.readouterr()
+        assert parse_report(captured.out)["passed"] is (code == 0)
+        assert captured.err == ("tolerance failure: membership_convergent\n"
+                                if code else "")
 
     def test_truncation_error_named(self, tmp_path, capsys):
         config = write(tmp_path, "far.json",
@@ -1089,8 +1108,31 @@ class TestSubcommands:
         assert len(data["singular_values"]) == 64
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def hashed_configs(monkeypatch):
+    """Config texts of benchmark seeds 0-2, then those the CI workflow
+    writes, that parse_config accepts and so hashes."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from corpus import WORKLOADS, generate
+    texts = [case.text for workload in sorted(WORKLOADS)
+             for seed in range(3) for case in generate(workload, seed)]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(
+        encoding="utf-8")
+    accepted = []
+    for text in texts + re.findall(r"echo '(\{.*\})' >", workflow):
+        try:
+            parse_config(text)
+        except FocklabError:
+            continue
+        accepted.append(text)
+    return accepted
+
+
 class TestImports:
-    """The command line runs on numpy alone and loads all of it up front."""
+    """The command line runs on numpy and the lighter standard library
+    modules (no OpenSSL, no dataclasses), and loads all of it up front."""
 
     def run_python(self, code):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1125,6 +1167,39 @@ class TestImports:
         # Gauss-Legendre rules come from focklab.numerics
         assert self.loaded_around_subcommands(
             tmp_path, "numpy.polynomial") == ["False", "False"]
+
+    @pytest.mark.parametrize("module", ["_hashlib", "dataclasses"])
+    def test_no_heavy_stdlib(self, tmp_path, module):
+        # hashlib loads OpenSSL and @dataclass compiles its methods at import,
+        # a cost every report process would pay before its first number
+        assert self.loaded_around_subcommands(
+            tmp_path, module) == ["False", "False"]
+
+    def test_digest_is_sha256(self, monkeypatch):
+        texts = hashed_configs(monkeypatch)
+        assert len(texts) > 261  # the CI configs were found
+        for config in map(parse_config, texts):
+            payload = config.normalized()
+            del payload["output"]
+            canonical = json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":"))
+            assert config.digest() == hashlib.sha256(
+                canonical.encode("utf-8")).hexdigest()
+
+    def test_digest_fallback_to_hashlib(self, tmp_path, monkeypatch):
+        texts = hashed_configs(monkeypatch)
+        path = write(tmp_path, "configs.json", json.dumps(texts))
+        out = self.run_python(
+            "import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from focklab.cli import parse_config\n"
+            f"texts = json.load(open({path!r}))\n"
+            "print(json.dumps([parse_config(t).digest() for t in texts]))\n"
+            "print('_hashlib' in sys.modules)")
+        digests, fell_back = out.splitlines()
+        assert json.loads(digests) == [parse_config(t).digest()
+                                       for t in texts]
+        assert fell_back == "True"
 
     def test_no_numpy_random(self, tmp_path):
         # kernel-continuity draws its probe angle from the standard library
