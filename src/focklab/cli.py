@@ -544,10 +544,16 @@ def run_counterexample(config: RunConfig, seed):
     except ValueError as exc:
         raise ConfigError(f"exponents: {exc}")
     data = full_report(params)
-    ratios = (data["membership_f_terms"], data["membership_g_terms"])
-    # a term below the float range is 0.0; a zero after a zero has not grown
-    worst = max(b / a if a else (math.inf if b else 0.0)
-                for terms in ratios for a, b in zip(terms, terms[1:]))
+    series = ("membership_f_terms", "membership_g_terms")
+    for key in series:
+        # a zero or subnormal term has lost the digits its ratio needs, and
+        # two underflowed terms say nothing of whether the series grows
+        tiny = [i for i, t in enumerate(data[key]) if t < sys.float_info.min]
+        if tiny:
+            raise FocklabError(f"data.{key}[{tiny[0]}]: under the normal "
+                               "float range, so the term ratios are lost")
+    worst = max(b / a for key in series
+                for a, b in zip(data[key], data[key][1:]))
     floor = params.b ** 2 / 3.0
     slowest = min(data["divergence_ratios"])
     checks = [_bounded(config, "pairing_identity",

@@ -315,22 +315,22 @@ class TestExitCodes:
         assert main(["counterexample", "--config", config]) == 2
         assert "exponents" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("exponents, code", [
-        # every g term underflows to 0.0, so none of them grows
-        ({"p": 1.9, "q": 1e300}, 0),
+    @pytest.mark.parametrize("exponents, series", [
+        # every g term underflows to 0.0
+        ({"p": 1.9, "q": 1e300}, "g"),
         # every f term underflows; the g terms first grow 36.9-fold
-        ({"p": 1.0000001, "q": 100}, 1),
+        ({"p": 1.0000001, "q": 100}, "f"),
+        # every term underflows, though both series first grow
+        ({"p": 1.0000001, "q": 1e5}, "f"),
     ])
     def test_underflowing_counterexample_terms(self, tmp_path, capsys,
-                                               exponents, code):
+                                               exponents, series):
         # ended in a ZeroDivisionError traceback: a term ratio over 0.0
         config = write(tmp_path, "e.json",
                        json.dumps({"exponents": exponents}))
-        assert main(["counterexample", "--config", config]) == code
-        captured = capsys.readouterr()
-        assert parse_report(captured.out)["passed"] is (code == 0)
-        assert captured.err == ("tolerance failure: membership_convergent\n"
-                                if code else "")
+        assert_exit_two(capsys, ["counterexample", "--config", config],
+                        f"FocklabError: data.membership_{series}_terms[0]: "
+                        "under the normal float range")
 
     def test_truncation_error_named(self, tmp_path, capsys):
         config = write(tmp_path, "far.json",
