@@ -20,9 +20,9 @@ from .fock import FockParams
 from .measure import (GaussianDensity, MeasureSymbol, PointMasses,
                       UniformDisk, density_values, disk_diagonal,
                       support_radius_of)
-from .numerics import (PolarGrid, complex_fsum, log_factorial, log_poisson,
-                       polar_grid, real_fsum, regularized_gamma,
-                       tail_radius)
+from .numerics import (TWO_PI, PolarGrid, check_budget, complex_fsum,
+                       log_factorial, log_poisson, polar_grid, real_fsum,
+                       regularized_gamma, tail_radius)
 
 _TAIL_TOL = 1e-12
 # a Gaussian's tail is the share of its trace past N, held to the trace
@@ -37,6 +37,21 @@ _BLOCK_SPAN = 0.5 * math.log(_FLOAT_MAX)
 # basis samples one block of a point or cell pairing holds; a folded one
 # holds them and their weighted copy in the same bytes
 _PAIRING_CHUNK_BYTES = 4 * 2 ** 20
+# rows of an operator transform's ring spectrum, DFT bins and samples one
+# block holds: a point-cloud schatten report at N = 128 peaks at 37.0 MiB
+# RSS with blocks of 1 MiB, 36.6 with 256 KiB, 36.4 with 64 KiB and 36.5
+# with 32 KiB (39.8 holding every ring of the grid)
+_RING_BLOCK_BYTES = 64 * 2 ** 10
+# basis samples of ring radii one call takes, in multiples of 8 radii: a
+# call costs about N numpy steps however few radii it samples (at N = 2048,
+# 4,096 radii took 73 ms in one call, 99 ms in calls of 512 radii, 16 MiB,
+# and 214 ms in calls of 128, 4 MiB)
+_SAMPLE_BYTES = 16 * 2 ** 20
+# what a transform on the covering grid holds besides its N x N terms: a
+# radius, weights and sums a ring, and a block's spectrum, bins, samples
+# and their temporaries
+_RING_BYTES = 56
+_RING_HELD_BYTES = 8 * _RING_BLOCK_BYTES
 
 
 class TruncatedOperator:
@@ -251,25 +266,31 @@ def _ring_pairing(mu, grid: PolarGrid, size: int, alpha: float,
     return (alpha / math.pi) * entries
 
 
-def _band_layout(q: np.ndarray) -> np.ndarray:
-    """B[m, k + N - 1] = q[m, m - k], zero where m - k leaves 0..N-1.
+def _band_layout(entries: np.ndarray, scale: int) -> np.ndarray:
+    """B[m, k + N - 1] = 2^-scale M[m, m - k], zero where m - k leaves
+    0..N-1.
 
-    The rows of q, reversed, fill a zeroed buffer with rows of 2N; read
-    back with rows of 2N - 1, row m moves m columns right, and the
-    wrapped zeros fill the rest.
+    The rows of M, reversed, fill a zeroed buffer with rows of 2N, scaled
+    there; read back with rows of 2N - 1, row m moves m columns right, and
+    the wrapped zeros fill the rest.
     """
-    size = q.shape[0]
-    buffer = np.zeros((size, 2 * size), dtype=q.dtype)
-    buffer[:, :size] = q[:, ::-1]
+    size = entries.shape[0]
+    buffer = np.zeros((size, 2 * size), dtype=complex)
+    buffer[:, :size] = entries[:, ::-1]
+    flat = buffer.view(float)
+    np.ldexp(flat, -scale, out=flat)
     return buffer.ravel()[:size * (2 * size - 1)].reshape(size, -1)
 
 
-def _ring_spectrum(entries: np.ndarray, radii: np.ndarray, alpha: float):
-    """(k, S) with S[t, j] = sum_m M[m, m - k_j] rho_m(t) rho_{m-k_j}(t).
+def _ring_spectrum(entries: np.ndarray, radii: np.ndarray, alpha: float,
+                   width: int = 0):
+    """(k, blocks): blocks yields (start, j0, S) for consecutive rings, with
+    S[t - start, j - j0] = sum_m M[m, m - k_j] rho_m(t) rho_{m-k_j}(t); the
+    bands past those S holds are zero on its rings.
 
     k runs over the bands of M from its lowest nonzero one to its highest.
-    Rings are taken in blocks, each about a reference ring b of its own.
-    With x = alpha t^2, rho_m(t)^2 = rho_m(b)^2 (x_t/x_b)^m e^{x_b - x_t},
+    Rings are taken in span blocks, each about a reference ring b of its
+    own.  With x = alpha t^2, rho_m(t)^2 = rho_m(b)^2 (x_t/x_b)^m e^{x_b - x_t},
     so the block's sums are one real matrix product
     (rho_m(t) / rho_m(b))^2 @ P, P[m, k] = rho_m(b) rho_{m-k}(b) M[m, m-k],
     then a factor (t / t_b)^{-k} per column.  The two factors are
@@ -279,65 +300,109 @@ def _ring_spectrum(entries: np.ndarray, radii: np.ndarray, alpha: float):
     rho_m(b) underflows hold nothing the block's rings can see and are
     left out, and so are the bands no two kept rows reach.  M is scaled by
     a power of two to modulus at most sqrt(2).
+
+    A span block's product is one call, whose rounding depends on its
+    shape; its factors and power of two are applied, and its rows yielded,
+    _RING_BLOCK_BYTES of rows of max(width, k.size) complex values at a
+    time.  Basis samples are taken _radius_step radii at a time.
     """
-    size = entries.shape[0]
     rows, cols = np.nonzero(entries)
     k = np.arange(np.min(rows - cols, initial=0),
                   np.max(rows - cols, initial=-1) + 1)
-    spectrum = np.zeros((radii.size, k.size), dtype=complex)
+    return k, _spectrum_blocks(entries, radii, alpha, k, width)
+
+
+def _spectrum_blocks(entries, radii, alpha, k, width):
+    """The blocks of _ring_spectrum."""
+    size = entries.shape[0]
+    block_rings = max(1, _RING_BLOCK_BYTES // (16 * max(width, k.size, 1)))
     if not k.size:
-        return k, spectrum
+        yield from _empty_blocks(0, radii.size, block_rings)
+        return
     scale = math.frexp(max(np.max(np.abs(entries.real)),
                            np.max(np.abs(entries.imag))))[1]
-    scaled = np.ldexp(np.ascontiguousarray(entries).view(float),
-                      -scale).view(complex)
     low = int(k[0])
-    layout = _band_layout(scaled)[:, low + size - 1:low + size - 1 + k.size]
-    rho = basis_matrix(radii, size, alpha).real
+    layout = _band_layout(entries, scale)[:, low + size - 1:
+                                          low + size - 1 + k.size]
     g = ((size - 1) * (math.log(alpha) + 2.0 * np.log(radii))
          + alpha * radii ** 2)
     padded = np.zeros(3 * size)
+    step = _radius_step(size)
+    chunk, first, last = None, 0, 0  # basis samples of radii [first, last)
     start = 0
     while start < radii.size:
         b = int(np.searchsorted(g, g[start] + _BLOCK_SPAN, "right")) - 1
         stop = int(np.searchsorted(g, g[b] + _BLOCK_SPAN, "right"))
-        live = np.flatnonzero(rho[:, b])
+        rho = np.empty((size, stop - start))
+        t = start
+        while t < stop:
+            if t >= last:
+                chunk = None  # freed before the next is sampled
+                first, last = t, min(radii.size, t + step)
+                chunk = basis_matrix(radii[first:last], size, alpha).real
+            u = min(stop, last)
+            rho[:, t - start:u - start] = chunk[:, t - first:u - first]
+            t = u
+        if stop >= last:
+            chunk = None
+        live = np.flatnonzero(rho[:, b - start])
         lo, hi = int(live[0]), int(live[-1]) + 1
         # the bands k_j, j in [j0, j1), that pair two kept rows
         j0, j1 = max(0, lo - hi + 1 - low), min(k.size, hi - lo - low)
-        if j0 < j1:
-            # rho_{m - k_j}(b) for m in [lo, hi) is constant along
-            # diagonals: a window view of rho(b) between zeros, reversed
-            padded[size:2 * size] = rho[:, b]
-            column = padded[size + lo - low - j1 + 1:size + hi - low - j0]
-            shifted = sliding_window_view(column, j1 - j0)[:, ::-1]
-            ref = rho[lo:hi, b]
-            bands = (ref[:, None] * layout[lo:hi, j0:j1]) * shifted
-            ratio = rho[lo:hi, start:stop].T / ref
-            block = ((ratio * ratio) @ bands.view(float)).view(complex)
-            block *= np.exp(np.multiply.outer(
-                np.log(radii[b] / radii[start:stop]), k[j0:j1]))
-            spectrum[start:stop, j0:j1] = block
+        if j0 >= j1:
+            yield from _empty_blocks(start, stop, block_rings)
+            start = stop
+            continue
+        # rho_{m - k_j}(b) for m in [lo, hi) is constant along diagonals:
+        # a window view of rho(b) between zeros, reversed
+        padded[size:2 * size] = rho[:, b - start]
+        column = padded[size + lo - low - j1 + 1:size + hi - low - j0]
+        shifted = sliding_window_view(column, j1 - j0)[:, ::-1]
+        ref = rho[lo:hi, b - start]
+        bands = np.multiply(ref[:, None], layout[lo:hi, j0:j1])
+        bands *= shifted
+        ratio = rho[lo:hi].T / ref
+        del rho, ref
+        np.multiply(ratio, ratio, out=ratio)
+        block = (ratio @ bands.view(float)).view(complex)
+        del ratio, bands
+        shrink = np.log(radii[b] / radii[start:stop])
+        for s in range(0, stop - start, block_rings):
+            part = block[s:s + block_rings]
+            part *= np.exp(np.multiply.outer(shrink[s:s + block_rings],
+                                             k[j0:j1]))
+            flat = part.view(float)
+            np.ldexp(flat, scale, out=flat)
+            yield start + s, j0, part
         start = stop
-    return k, np.ldexp(spectrum.view(float), scale).view(complex)
 
 
-def _ring_transform(entries: np.ndarray, grid: PolarGrid,
-                    alpha: float) -> np.ndarray:
-    """Operator transform sum M[m, n] E[m, i] conj(E[n, i]) at every node.
+def _empty_blocks(start: int, stop: int, block_rings: int):
+    """Spectrum blocks of rings start..stop on which every band is zero."""
+    for s in range(start, stop, block_rings):
+        yield s, 0, np.zeros((min(block_rings, stop - s), 0), dtype=complex)
+
+
+def _ring_transform(entries: np.ndarray, grid: PolarGrid, alpha: float):
+    """Yield (start, F) for consecutive blocks of rings, F[t - start, a] the
+    operator transform sum M[m, n] E[m, i] conj(E[n, i]) at node a of
+    ring t.
 
     Band k = m - n of each ring's spectrum meets DFT bin k mod A; bins are
     filled A bands at a time, so a grid with fewer angles than bands
     aliases exactly as the node sum does.  One inverse FFT per ring puts
     back the angular factors e^{i k theta}.
     """
-    k, bands = _ring_spectrum(entries, grid.radii, alpha)
     angular = grid.n_angular
+    k, blocks = _ring_spectrum(entries, grid.radii, alpha, angular)
     bins = k % angular
-    spectrum = np.zeros((grid.n_radial, angular), dtype=complex)
-    for lo in range(0, k.size, angular):
-        spectrum[:, bins[lo:lo + angular]] += bands[:, lo:lo + angular]
-    return ifft(spectrum, axis=1, norm="forward").ravel()
+    for start, j0, bands in blocks:
+        j1 = j0 + bands.shape[1]
+        spectrum = np.zeros((bands.shape[0], angular), dtype=complex)
+        for lo in range(j0 - j0 % angular, j1, angular):
+            a, b = max(lo, j0), min(lo + angular, j1)
+            spectrum[:, bins[a:b]] += bands[:, a - j0:b - j0]
+        yield start, ifft(spectrum, axis=1, norm="forward")
 
 
 def build_from_point_masses(mu: PointMasses, size: int,
@@ -542,6 +607,10 @@ def _covering_grid(op: TruncatedOperator) -> PolarGrid:
     top mode's Gaussian tail Q(N, alpha R^2) lies below that, so truncating
     a plane integral of the transform to the grid loses nothing the matrix
     can see.
+
+    Its nodes are never held: the transforms on it keep a few floats a
+    ring and one block of rings (_RING_HELD_BYTES), and the budget counts
+    those.  What grows with N^2 is the truncation's own budget.
     """
     size = op.truncation
     cutoff = tail_radius(op.params.alpha, 2 * size, 1e-13)
@@ -549,12 +618,24 @@ def _covering_grid(op: TruncatedOperator) -> PolarGrid:
         raise QuadratureError(
             f"covering grid at alpha {op.params.alpha:g} needs cutoff "
             f"radius {cutoff:.3g}, whose square is not a finite float")
-    return polar_grid(cutoff, max(96, 2 * size), max(64, 2 * size))
+    radial, angular = max(96, 2 * size), max(64, 2 * size)
+    check_budget(f"polar grid of {radial} x {angular} nodes",
+                 [(radial, _RING_BYTES), (1, _RING_HELD_BYTES)])
+    return polar_grid(cutoff, radial, angular, 0)
 
 
-def _ring_sums(weighted: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Sum of weighted node samples over each ring of the grid."""
-    return weighted.reshape(grid.n_radial, grid.n_angular).sum(axis=1)
+def _radius_step(size: int) -> int:
+    """Radii one basis_matrix call samples for a transform: _SAMPLE_BYTES
+    of them, in multiples of 8.  The products of their samples then round
+    each ring's sum as one product over all the radii does, at least for
+    an even N, where the radius count is a multiple of 4."""
+    return max(8, _SAMPLE_BYTES // (16 * size) // 8 * 8)
+
+
+def _ring_weights(grid: PolarGrid) -> np.ndarray:
+    """Weight t dt dtheta of every node on each ring: PolarGrid.weights,
+    which repeats it along the ring."""
+    return grid.radial_weights * grid.radii * (TWO_PI / grid.n_angular)
 
 
 def trace_via_berezin(op: TruncatedOperator) -> complex:
@@ -575,11 +656,23 @@ def _band_zero_integral(op: TruncatedOperator, grid: PolarGrid,
     Every e^{ik theta} with 0 < |k| <= N - 1 integrates to zero over a
     ring, as its sum over A > N - 1 equispaced angles does, so that is
     2 alpha sum_t w_t t phi(t) sum_m M[m, m] rho_m(t)^2 over the
-    Gauss-Legendre radii; ring_density holds phi(t) there.
+    Gauss-Legendre radii; ring_density holds phi(t) there.  The radii are
+    sampled _SAMPLE_BYTES at a time.
     """
     alpha = op.params.alpha
-    rho = basis_matrix(grid.radii, op.truncation, alpha).real
-    rings = ring_density * (np.diagonal(op.entries) @ (rho * rho))
+    size = op.truncation
+    diagonal = np.diagonal(op.entries)
+    step = _radius_step(size)
+    rings = np.empty(grid.n_radial, dtype=complex)
+    for start in range(0, grid.n_radial, step):
+        # rho_m(t)^2 in place of the samples, as complex numbers: the
+        # product takes them as it would take the real squares
+        e = basis_matrix(grid.radii[start:start + step], size, alpha)
+        np.multiply(e.real, e.real, out=e.real)
+        e.imag = 0.0
+        rings[start:start + step] = diagonal @ e
+        del e
+    rings = ring_density * rings
     return 2.0 * alpha * complex_fsum(grid.radial_weights * grid.radii * rings)
 
 
@@ -592,8 +685,12 @@ def transform_l1_norm(op: TruncatedOperator) -> float:
     """
     grid = _covering_grid(op)
     alpha = op.params.alpha
-    samples = _ring_transform(op.entries, grid, alpha)
-    rings = _ring_sums(grid.weights * np.abs(samples), grid)
+    weights = _ring_weights(grid)
+    rings = np.empty(grid.n_radial)
+    for start, samples in _ring_transform(op.entries, grid, alpha):
+        stop = start + samples.shape[0]
+        rings[start:stop] = (weights[start:stop, None]
+                             * np.abs(samples)).sum(axis=1)
     return (alpha / math.pi) * real_fsum(rings)
 
 
@@ -662,8 +759,14 @@ def trace_pairing(phi, op: TruncatedOperator) -> tuple[complex, complex]:
         quad_side = _band_zero_integral(op, grid,
                                         density_values(phi, grid.radii))
         return matrix_side, quad_side
-    values = density_values(phi, grid.nodes)
-    transform = _ring_transform(op.entries, grid, params.alpha)
-    rings = _ring_sums(grid.weights * values * transform, grid)
+    weights = _ring_weights(grid)
+    unit = np.exp(1j * grid.angles)
+    rings = np.empty(grid.n_radial, dtype=complex)
+    for start, transform in _ring_transform(op.entries, grid, params.alpha):
+        stop = start + transform.shape[0]
+        nodes = (grid.radii[start:stop, None] * unit[None, :]).ravel()
+        values = density_values(phi, nodes).reshape(transform.shape)
+        rings[start:stop] = (weights[start:stop, None] * values
+                             * transform).sum(axis=1)
     quad_side = (params.alpha / math.pi) * complex_fsum(rings)
     return matrix_side, quad_side

@@ -1163,6 +1163,16 @@ class TestImports:
             f"print({module!r} in sys.modules)")
         return out.split()
 
+    def test_exit_freezes_collector(self):
+        # the interpreter's last collections would walk every object the
+        # imports left; atexit runs its handlers last in first out, so the
+        # freeze the command line registers runs before this handler
+        out = self.run_python(
+            "import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "import focklab.cli")
+        assert out.strip() == "True"
+
     def test_no_numpy_polynomial(self, tmp_path):
         # Gauss-Legendre rules come from focklab.numerics
         assert self.loaded_around_subcommands(

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from numpy.fft import ifft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammainc, gammaincc, gammaln
 
 from focklab.errors import FocklabError, QuadratureError, TruncationError
@@ -13,8 +15,8 @@ from focklab.fock import FockParams
 from focklab.lattice import lattice_operator, lattice_partition
 from focklab.measure import (Density, GaussianDensity, PointMasses,
                              UniformDisk, berezin_measure, density_values,
-                             is_positive, total_mass)
-from focklab.numerics import complex_fsum, polar_grid
+                             disk_diagonal, is_positive, total_mass)
+from focklab.numerics import complex_fsum, polar_grid, real_fsum
 from focklab.toeplitz import (_TAIL_TOL, HankelMatrix, TruncatedOperator,
                               _covering_grid, _pairing_matrix,
                               _quadrature_grid, _ring_bands, _ring_pairing,
@@ -54,6 +56,21 @@ def corpus():
         GaussianDensity(0.5, 1.0, center=0.8j),
         Density(lambda w: np.exp(-np.abs(w) ** 2) * (1 + 0.4 * w.real), 5.0),
     ]
+
+
+def joined_spectrum(entries, radii, alpha):
+    """(k, S): _ring_spectrum's blocks joined into one rings x bands array."""
+    k, blocks = _ring_spectrum(entries, radii, alpha)
+    spectrum = np.zeros((radii.size, k.size), dtype=complex)
+    for start, j0, block in blocks:
+        spectrum[start:start + block.shape[0], j0:j0 + block.shape[1]] = block
+    return k, spectrum
+
+
+def joined_transform(entries, grid, alpha):
+    """_ring_transform's blocks joined in node order (radius-major)."""
+    return np.concatenate([samples.ravel() for _, samples
+                           in _ring_transform(entries, grid, alpha)])
 
 
 class TestPointMassBuilder:
@@ -382,7 +399,7 @@ class TestRadialTracePairing:
         grid = _quadrature_grid(op.truncation, PARAMS,
                                 toeplitz._density_support(phi))
         values = density_values(phi, grid.nodes)
-        transform = _ring_transform(op.entries, grid, PARAMS.alpha)
+        transform = joined_transform(op.entries, grid, PARAMS.alpha)
         return (PARAMS.alpha / math.pi) * complex_fsum(
             grid.weights * values * transform)
 
@@ -533,7 +550,7 @@ class TestRingPath:
             ring = _ring_pairing(mu, grid, size, PARAMS.alpha, bilinear)
             assert np.max(np.abs(ring - dense)) < 1e-14
         entries = toeplitz_operator(mu, size).entries
-        ring = _ring_transform(entries, grid, PARAMS.alpha)
+        ring = joined_transform(entries, grid, PARAMS.alpha)
         dense = dense_transform(entries, grid.nodes)
         assert np.max(np.abs(ring - dense)) < 1e-14
 
@@ -586,7 +603,7 @@ class TestBlockedRingSpectrum:
         if size == 512:
             radii = radii[::4]  # keeps the reference loop under a second
         with np.errstate(over="raise", invalid="raise"):
-            k, blocked = _ring_spectrum(entries, radii, PARAMS.alpha)
+            k, blocked = joined_spectrum(entries, radii, PARAMS.alpha)
         reference = band_loop_spectrum(entries, radii, PARAMS.alpha)
         full = np.zeros_like(reference)
         full[:, k + size - 1] = blocked
@@ -598,9 +615,10 @@ class TestBlockedRingSpectrum:
         entries = np.diag(np.arange(1.0, 9.0)).astype(complex)
         entries[5, 2] = 1j
         radii = _covering_grid(TruncatedOperator(entries, 8, PARAMS)).radii
-        k, spectrum = _ring_spectrum(entries, radii, PARAMS.alpha)
+        k, spectrum = joined_spectrum(entries, radii, PARAMS.alpha)
         assert k.tolist() == [0, 1, 2, 3]
-        k, spectrum = _ring_spectrum(np.zeros((8, 8)), radii, PARAMS.alpha)
+        k, spectrum = joined_spectrum(np.zeros((8, 8)), radii,
+                                      PARAMS.alpha)
         assert k.size == 0 and spectrum.shape == (radii.size, 0)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
@@ -610,8 +628,8 @@ class TestBlockedRingSpectrum:
                    + 1j * rng.standard_normal((64, 64)))
         radii = _covering_grid(TruncatedOperator(entries, 64, PARAMS)).radii
         with np.errstate(over="raise", invalid="raise"):
-            _, unit = _ring_spectrum(entries, radii, PARAMS.alpha)
-            _, big = _ring_spectrum(scale * entries, radii, PARAMS.alpha)
+            _, unit = joined_spectrum(entries, radii, PARAMS.alpha)
+            _, big = joined_spectrum(scale * entries, radii, PARAMS.alpha)
         assert np.max(np.abs(big / scale - unit)) <= 1e-14 * np.max(
             np.abs(entries))
 
@@ -630,10 +648,199 @@ class TestBandZeroTrace:
             + 1j * rng.standard_normal((size, size)), size, PARAMS))
         for op in ops:
             grid = _covering_grid(op)
-            transform = _ring_transform(op.entries, grid, PARAMS.alpha)
+            transform = joined_transform(op.entries, grid, PARAMS.alpha)
             full = (PARAMS.alpha / math.pi) * complex_fsum(
                 grid.weights * transform)
             assert abs(trace_via_berezin(op) - full) <= 1e-15 * abs(full)
+
+
+def whole_band_layout(q):
+    """B[m, k + N - 1] = q[m, m - k], zero where m - k leaves 0..N-1."""
+    size = q.shape[0]
+    buffer = np.zeros((size, 2 * size), dtype=q.dtype)
+    buffer[:, :size] = q[:, ::-1]
+    return buffer.ravel()[:size * (2 * size - 1)].reshape(size, -1)
+
+
+def whole_grid_spectrum(entries, radii, alpha):
+    """(k, S) for every ring at once, as the transforms were before they
+    streamed: one basis sample of all radii and one rings x bands array."""
+    size = entries.shape[0]
+    rows, cols = np.nonzero(entries)
+    k = np.arange(np.min(rows - cols, initial=0),
+                  np.max(rows - cols, initial=-1) + 1)
+    spectrum = np.zeros((radii.size, k.size), dtype=complex)
+    if not k.size:
+        return k, spectrum
+    scale = math.frexp(max(np.max(np.abs(entries.real)),
+                           np.max(np.abs(entries.imag))))[1]
+    scaled = np.ldexp(np.ascontiguousarray(entries).view(float),
+                      -scale).view(complex)
+    low = int(k[0])
+    layout = whole_band_layout(scaled)[:, low + size - 1:
+                                       low + size - 1 + k.size]
+    rho = basis_matrix(radii, size, alpha).real
+    g = ((size - 1) * (math.log(alpha) + 2.0 * np.log(radii))
+         + alpha * radii ** 2)
+    padded = np.zeros(3 * size)
+    start = 0
+    while start < radii.size:
+        b = int(np.searchsorted(g, g[start] + toeplitz._BLOCK_SPAN,
+                                "right")) - 1
+        stop = int(np.searchsorted(g, g[b] + toeplitz._BLOCK_SPAN, "right"))
+        live = np.flatnonzero(rho[:, b])
+        lo, hi = int(live[0]), int(live[-1]) + 1
+        j0, j1 = max(0, lo - hi + 1 - low), min(k.size, hi - lo - low)
+        if j0 < j1:
+            padded[size:2 * size] = rho[:, b]
+            column = padded[size + lo - low - j1 + 1:size + hi - low - j0]
+            shifted = sliding_window_view(column, j1 - j0)[:, ::-1]
+            ref = rho[lo:hi, b]
+            bands = (ref[:, None] * layout[lo:hi, j0:j1]) * shifted
+            ratio = rho[lo:hi, start:stop].T / ref
+            block = ((ratio * ratio) @ bands.view(float)).view(complex)
+            block *= np.exp(np.multiply.outer(
+                np.log(radii[b] / radii[start:stop]), k[j0:j1]))
+            spectrum[start:stop, j0:j1] = block
+        start = stop
+    return k, np.ldexp(spectrum.view(float), scale).view(complex)
+
+
+def whole_grid_transform(entries, grid, alpha):
+    """The transform at every node of the grid at once, radius-major."""
+    k, bands = whole_grid_spectrum(entries, grid.radii, alpha)
+    angular = grid.n_angular
+    bins = k % angular
+    spectrum = np.zeros((grid.n_radial, angular), dtype=complex)
+    for lo in range(0, k.size, angular):
+        spectrum[:, bins[lo:lo + angular]] += bands[:, lo:lo + angular]
+    return ifft(spectrum, axis=1, norm="forward").ravel()
+
+
+def whole_grid_ring_sums(weighted, grid):
+    return weighted.reshape(grid.n_radial, grid.n_angular).sum(axis=1)
+
+
+def whole_grid_l1_norm(op):
+    grid = _covering_grid(op)
+    samples = whole_grid_transform(op.entries, grid, PARAMS.alpha)
+    rings = whole_grid_ring_sums(grid.weights * np.abs(samples), grid)
+    return (PARAMS.alpha / math.pi) * real_fsum(rings)
+
+
+def whole_grid_band_zero(op, grid, ring_density):
+    rho = basis_matrix(grid.radii, op.truncation, PARAMS.alpha).real
+    rings = ring_density * (np.diagonal(op.entries) @ (rho * rho))
+    return 2.0 * PARAMS.alpha * complex_fsum(
+        grid.radial_weights * grid.radii * rings)
+
+
+def whole_grid_pairing(phi, op):
+    """trace_pairing's quadrature side, every node of the grid at once."""
+    radial = isinstance(phi, UniformDisk) or (
+        isinstance(phi, GaussianDensity) and phi.center == 0)
+    grid = _quadrature_grid(op.truncation, PARAMS,
+                            toeplitz._density_support(phi), radial)
+    if radial:
+        return whole_grid_band_zero(op, grid,
+                                    density_values(phi, grid.radii))
+    values = density_values(phi, grid.nodes)
+    transform = whole_grid_transform(op.entries, grid, PARAMS.alpha)
+    rings = whole_grid_ring_sums(grid.weights * values * transform, grid)
+    return (PARAMS.alpha / math.pi) * complex_fsum(rings)
+
+
+def edge_radius(size):
+    """The radius of edge_point_masses."""
+    return abs(edge_point_masses(size).points[0][0])
+
+
+def streamed_operators(size):
+    """A five-point cloud with complex weights, a disk, an off-centre
+    Gaussian and a random complex matrix at truncation N."""
+    r = edge_radius(size)
+    cloud = PointMasses(tuple(
+        (f * r * np.exp(1j * a), w) for f, a, w in (
+            (1.0, 0.3, 1.0), (0.8, 2.1, 0.5 - 1.0j), (0.55, -1.9, 1.2),
+            (0.35, 4.0, -0.8 + 0.2j), (0.1, 1.0, 0.3j))))
+    disk = UniformDisk(1.3, 1.0)
+    rng = np.random.default_rng(size)
+    return [
+        build_from_measure(cloud, size, PARAMS),
+        TruncatedOperator(np.diag(disk.amplitude * disk_diagonal(
+            disk, size, PARAMS.alpha)), size, PARAMS),
+        toeplitz_operator(GaussianDensity(0.6, 1.0, center=1.2 - 0.9j), size),
+        TruncatedOperator(rng.standard_normal((size, size))
+                          + 1j * rng.standard_normal((size, size)),
+                          size, PARAMS)]
+
+
+def pairing_symbols(size):
+    """A disk (paired on band 0) and an off-centre Gaussian (paired at
+    every node) inside the radius where the basis tail past N is 5e-13."""
+    r = edge_radius(size)
+    return [UniformDisk(0.7 + 0.2j, 0.9 * r),
+            GaussianDensity(1.5, 50.0 / (0.6 * r) ** 2,
+                            center=0.3 * r * np.exp(0.7j))]
+
+
+class TestStreamedRings:
+    """Transforms streamed a block of rings at a time give, bit for bit,
+    the sums taken over the whole grid at once."""
+
+    @pytest.mark.parametrize("size", [8, 24, 64, 128, 512])
+    def test_bitwise_whole_grid(self, monkeypatch, size):
+        ops = streamed_operators(size)
+        phis = pairing_symbols(size)
+        wanted = [(whole_grid_l1_norm(op),
+                   whole_grid_band_zero(op, _covering_grid(op), 1.0),
+                   [whole_grid_pairing(phi, op) for phi in phis])
+                  for op in ops]
+        # the default block, one ring a block, and blocks of seven rows of
+        # the pairing grid's angles, which hold 14 or 21 of the covering
+        # grid's narrower rows: no count that divides the grid's radii
+        seven = 16 * 7 * max(192, 4 * size)
+        for grid in (_covering_grid(ops[0]),
+                     _quadrature_grid(size, PARAMS, 1.0)):
+            assert grid.n_radial % (seven // (16 * grid.n_angular))
+        for block in (toeplitz._RING_BLOCK_BYTES, 16, seven):
+            monkeypatch.setattr(toeplitz, "_RING_BLOCK_BYTES", block)
+            for op, (l1, band_zero, pairings) in zip(ops, wanted):
+                assert np.array_equal(transform_l1_norm(op), l1)
+                assert np.array_equal(trace_via_berezin(op), band_zero)
+                for phi, want in zip(phis, pairings):
+                    _, got = trace_pairing(phi, op)
+                    assert np.array_equal(got, want), (block, phi)
+
+    def test_sample_chunks(self, monkeypatch):
+        # 40 radii a basis sample: a multiple of 8 that divides neither
+        # grid's 1,024 radii
+        monkeypatch.setattr(toeplitz, "_SAMPLE_BYTES", 16 * 512 * 40)
+        assert toeplitz._radius_step(512) == 40
+        ops = streamed_operators(512)
+        phi = pairing_symbols(512)[0]
+        for op in ops:
+            assert np.array_equal(transform_l1_norm(op),
+                                  whole_grid_l1_norm(op))
+            assert np.array_equal(trace_via_berezin(op), whole_grid_band_zero(
+                op, _covering_grid(op), 1.0))
+            assert np.array_equal(trace_pairing(phi, op)[1],
+                                  whole_grid_pairing(phi, op))
+
+    def test_memory_stays_below_whole_grid(self):
+        # on this cloud at N = 512 the whole-grid sums peaked at 69.3 MiB
+        # (the norm) and 20.0 MiB (the trace) traced; streamed, 30.7 and
+        # 9.1 MiB
+        op = streamed_operators(512)[0]
+        for transform, bound in ((transform_l1_norm, 40), (trace_via_berezin,
+                                                           14)):
+            tracemalloc.start()
+            try:
+                transform(op)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2 ** 20, transform.__name__
 
 
 class TestCoveringGrid:
